@@ -147,7 +147,6 @@ main(int argc, char **argv)
         cfg.mapModel = sram::MapModel::Clustered;
     fi::FaultInjectionRunner runner(net, test, cfg);
 
-    using resilience::EscalationPolicy;
     using resilience::ResiliencePolicy;
 
     // The sweep: open-loop baselines (unboosted and always-boosted)
@@ -160,17 +159,17 @@ main(int argc, char **argv)
     }
     if (opts.policy != "open") {
         policies.push_back(ResiliencePolicy::closedLoop(
-            opts.retryBudget, EscalationPolicy::StepUp, opts.spares));
+            opts.retryBudget, Escalation::StepUp, opts.spares));
         if (!opts.smoke) {
             policies.push_back(ResiliencePolicy::closedLoop(
-                1, EscalationPolicy::StepUp, opts.spares));
+                1, Escalation::StepUp, opts.spares));
             policies.push_back(ResiliencePolicy::closedLoop(
-                opts.retryBudget, EscalationPolicy::Hold, opts.spares));
+                opts.retryBudget, Escalation::Hold, opts.spares));
             policies.push_back(ResiliencePolicy::closedLoop(
-                opts.retryBudget, EscalationPolicy::StepUp, 0));
+                opts.retryBudget, Escalation::StepUp, 0));
         }
         policies.push_back(ResiliencePolicy::closedLoop(
-            opts.retryBudget, EscalationPolicy::MaxOut, opts.spares));
+            opts.retryBudget, Escalation::MaxOut, opts.spares));
     }
 
     std::vector<Volt> grid =
@@ -286,7 +285,7 @@ main(int argc, char **argv)
                     resilience::AccessPolicyMode::ClosedLoop ||
                 row.policy.name() !=
                     resilience::ResiliencePolicy::closedLoop(
-                        opts.retryBudget, EscalationPolicy::StepUp,
+                        opts.retryBudget, Escalation::StepUp,
                         opts.spares)
                         .name())
                 continue;

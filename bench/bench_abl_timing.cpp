@@ -189,16 +189,15 @@ main(int argc, char **argv)
     resil.spareRows = opts.spares;
 
     using timing::ReplayPolicy;
-    using timing::TimingEscalation;
     std::vector<ReplayPolicy> policies;
     policies.push_back(ReplayPolicy::worstCase());
     policies.push_back(ReplayPolicy::razor(opts.retryBudget));
     if (!opts.smoke) {
         policies.push_back(ReplayPolicy::razor(0)); // detect-only
         policies.push_back(ReplayPolicy::razor(opts.retryBudget,
-                                               TimingEscalation::Hold));
+                                               Escalation::Hold));
         policies.push_back(ReplayPolicy::razor(opts.retryBudget,
-                                               TimingEscalation::MaxOut));
+                                               Escalation::MaxOut));
     }
 
     // The joint grid: the datapath rail sweeps through the region

@@ -7,35 +7,58 @@
 
 namespace vboost::dnn {
 
-SgdTrainer::SgdTrainer(TrainConfig cfg) : cfg_(cfg)
+void
+TrainConfig::validate() const
 {
-    if (cfg_.epochs < 1 || cfg_.batchSize < 1)
-        fatal("SgdTrainer: epochs and batch size must be positive");
-    if (cfg_.learningRate <= 0.0)
-        fatal("SgdTrainer: learning rate must be positive");
-    if (cfg_.momentum < 0.0 || cfg_.momentum >= 1.0)
-        fatal("SgdTrainer: momentum must be in [0,1)");
+    if (epochs < 1 || batchSize < 1)
+        fatal("TrainConfig: epochs and batch size must be positive");
+    if (learningRate <= 0.0)
+        fatal("TrainConfig: learning rate must be positive");
+    if (momentum < 0.0 || momentum >= 1.0)
+        fatal("TrainConfig: momentum must be in [0,1)");
+}
+
+MinibatchStep
+MinibatchStep::onNetwork(Network &run, Network &update)
+{
+    MinibatchStep step;
+    step.forward = [&run](const Tensor &images) {
+        run.zeroGrads();
+        return run.forward(images, /*train=*/true);
+    };
+    step.backward = [&run](const Tensor &grad) { run.backward(grad); };
+    step.params = update.params();
+    step.grads = run.params();
+    if (step.params.size() != step.grads.size())
+        fatal("MinibatchStep: trained and scratch networks differ in "
+              "structure");
+    return step;
 }
 
 std::vector<EpochStats>
-SgdTrainer::train(Network &net, const Dataset &train_set, Rng &rng)
+trainMinibatches(const TrainConfig &cfg, const Dataset &train_set,
+                 Rng &rng, const MinibatchStep &step,
+                 std::string_view name)
 {
     if (train_set.size() == 0)
-        fatal("SgdTrainer::train: empty training set");
+        fatal("trainMinibatches: empty training set");
 
-    auto params = net.params();
     std::vector<Tensor> velocity;
-    velocity.reserve(params.size());
-    for (auto &p : params)
+    velocity.reserve(step.params.size());
+    for (const auto &p : step.params)
         velocity.push_back(Tensor::zeros(p.value->shape()));
 
     SoftmaxCrossEntropy loss_fn;
     std::vector<std::size_t> order(train_set.size());
     std::iota(order.begin(), order.end(), 0);
 
+    const auto batch_size = static_cast<std::size_t>(cfg.batchSize);
+    const float gclip = step.gradClip;
+    const float wclip = step.weightClip;
     std::vector<EpochStats> stats;
-    double lr = cfg_.learningRate;
-    for (int epoch = 0; epoch < cfg_.epochs; ++epoch) {
+    double lr = cfg.learningRate;
+    std::uint64_t batch_counter = 0;
+    for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
         // Fisher-Yates shuffle with our deterministic generator.
         for (std::size_t i = order.size(); i > 1; --i) {
             const std::size_t j = rng.uniformInt(i);
@@ -45,25 +68,24 @@ SgdTrainer::train(Network &net, const Dataset &train_set, Rng &rng)
         double loss_sum = 0.0;
         std::size_t correct = 0, seen = 0, batches = 0;
         for (std::size_t start = 0; start < order.size();
-             start += static_cast<std::size_t>(cfg_.batchSize)) {
+             start += batch_size) {
             const std::size_t count =
-                std::min(static_cast<std::size_t>(cfg_.batchSize),
-                         order.size() - start);
-            std::vector<std::size_t> idx(order.begin() +
-                                             static_cast<long>(start),
-                                         order.begin() +
-                                             static_cast<long>(start +
-                                                               count));
-            Dataset batch = train_set.gather(idx);
+                std::min(batch_size, order.size() - start);
+            const std::vector<std::size_t> idx(
+                order.begin() + static_cast<long>(start),
+                order.begin() + static_cast<long>(start + count));
+            const Dataset batch = train_set.gather(idx);
 
-            net.zeroGrads();
-            Tensor logits = batch.images;
-            logits = net.forward(logits, /*train=*/true);
+            if (step.beforeBatch)
+                step.beforeBatch(epoch, batch_counter);
+            ++batch_counter;
+
+            const Tensor logits = step.forward(batch.images);
             Tensor grad;
             // vblint: assoc-ok(batches processed in fixed epoch order)
             loss_sum += loss_fn.lossAndGrad(logits, batch.labels, grad);
             ++batches;
-            net.backward(grad);
+            step.backward(grad);
 
             // Track train accuracy from the logits already computed.
             for (int i = 0; i < logits.dim(0); ++i) {
@@ -76,15 +98,23 @@ SgdTrainer::train(Network &net, const Dataset &train_set, Rng &rng)
                 ++seen;
             }
 
-            for (std::size_t p = 0; p < params.size(); ++p) {
+            // Momentum update, with the optional gradient clamp against
+            // fault-induced outliers and the optional projection back
+            // into the deployment Q-format range.
+            for (std::size_t p = 0; p < step.params.size(); ++p) {
                 Tensor &v = velocity[p];
-                Tensor &value = *params[p].value;
-                const Tensor &grad_p = *params[p].grad;
+                Tensor &value = *step.params[p].value;
+                const Tensor &g = *step.grads[p].grad;
                 for (std::size_t e = 0; e < value.numel(); ++e) {
-                    v[e] = static_cast<float>(cfg_.momentum * v[e] -
-                                              lr * grad_p[e]);
+                    float ge = g[e];
+                    if (gclip > 0.0f)
+                        ge = std::clamp(ge, -gclip, gclip);
+                    v[e] = static_cast<float>(cfg.momentum * v[e] -
+                                              lr * ge);
                     // vblint: assoc-ok(one momentum update per element)
                     value[e] += v[e];
+                    if (wclip > 0.0f)
+                        value[e] = std::clamp(value[e], -wclip, wclip);
                 }
             }
         }
@@ -94,13 +124,25 @@ SgdTrainer::train(Network &net, const Dataset &train_set, Rng &rng)
         es.trainAccuracy =
             static_cast<double>(correct) / static_cast<double>(seen);
         stats.push_back(es);
-        if (cfg_.verbose) {
-            inform("epoch ", epoch + 1, "/", cfg_.epochs, ": loss=",
+        if (cfg.verbose) {
+            inform(name, "epoch ", epoch + 1, "/", cfg.epochs, ": loss=",
                    es.meanLoss, " train_acc=", es.trainAccuracy);
         }
-        lr *= cfg_.lrDecay;
+        lr *= cfg.lrDecay;
     }
     return stats;
+}
+
+SgdTrainer::SgdTrainer(TrainConfig cfg) : cfg_(cfg)
+{
+    cfg_.validate();
+}
+
+std::vector<EpochStats>
+SgdTrainer::train(Network &net, const Dataset &train_set, Rng &rng)
+{
+    return trainMinibatches(cfg_, train_set, rng,
+                            MinibatchStep::onNetwork(net, net), "");
 }
 
 double

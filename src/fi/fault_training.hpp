@@ -45,14 +45,37 @@ struct FaultTrainConfig
     std::uint64_t seed = 99;
     /** Cell layout used for the injected faults. */
     MemoryLayout layout;
+
+    /** Fatals with a usage-style message on invalid values (base
+     *  included). */
+    void validate() const;
 };
 
 /**
- * SGD with per-minibatch weight fault injection.
- *
- * The network sees a different fault map every batch, so it cannot
- * memorize specific broken cells; it must become robust to the error
- * *rate*.
+ * Fault source of FaultAwareTrainer and recovery::TransformTrainer: a
+ * fresh vulnerability map every batch. Batch `b` corrupts the scratch
+ * weights under VulnerabilityMap(seed, b) with the flip stream
+ * Rng(seed).split(b), so training cannot memorize specific broken
+ * cells; it must become robust to the error *rate*. Epochs before
+ * warmupEpochs inject at failure probability 0.
+ */
+struct FreshMapFaults
+{
+    std::uint64_t seed = 0;
+    double failProb = 0.0;
+    double flipProb = 0.5;
+    int warmupEpochs = 0;
+    MemoryLayout layout;
+
+    /** Corrupt `scratch` from `clean` for batch `batch` of `epoch`.
+     *  @return bits flipped. */
+    std::uint64_t corrupt(dnn::Network &scratch, dnn::Network &clean,
+                          int epoch, std::uint64_t batch) const;
+};
+
+/**
+ * SGD with per-minibatch weight fault injection: dnn::trainMinibatches
+ * over FreshMapFaults, with the clamped straight-through update.
  */
 class FaultAwareTrainer
 {

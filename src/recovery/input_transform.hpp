@@ -148,7 +148,7 @@ struct TransformTrainStats
 /**
  * Trains an InputTransform through a *frozen* corrupted base network:
  * each minibatch corrupts the base weights under a fresh vulnerability
- * map (fi::corruptNetwork), forwards transform -> corrupted base,
+ * map (fi::FreshMapFaults), forwards transform -> corrupted base,
  * and backpropagates the loss through the base into the transform.
  * Only transform parameters are updated; the base never changes.
  * Deterministic under the §7 discipline: per-batch maps and flip

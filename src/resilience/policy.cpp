@@ -13,11 +13,11 @@ ResiliencePolicy::attemptLevel(int standing, int attempt,
     if (attempt <= 0 || mode == AccessPolicyMode::OpenLoop)
         return standing;
     switch (escalation) {
-      case EscalationPolicy::Hold:
+      case Escalation::Hold:
         return standing;
-      case EscalationPolicy::StepUp:
+      case Escalation::StepUp:
         return std::min(standing + attempt, max_level);
-      case EscalationPolicy::MaxOut:
+      case Escalation::MaxOut:
         return max_level;
     }
     panic("ResiliencePolicy::attemptLevel: bad escalation policy");
@@ -57,7 +57,7 @@ ResiliencePolicy::openLoop(int level)
 }
 
 ResiliencePolicy
-ResiliencePolicy::closedLoop(int retry_budget, EscalationPolicy esc,
+ResiliencePolicy::closedLoop(int retry_budget, Escalation esc,
                              int spare_rows)
 {
     ResiliencePolicy p;
@@ -81,20 +81,6 @@ const char *
 toString(AccessPolicyMode mode)
 {
     return mode == AccessPolicyMode::OpenLoop ? "open" : "closed";
-}
-
-const char *
-toString(EscalationPolicy esc)
-{
-    switch (esc) {
-      case EscalationPolicy::Hold:
-        return "hold";
-      case EscalationPolicy::StepUp:
-        return "stepup";
-      case EscalationPolicy::MaxOut:
-        return "maxout";
-    }
-    return "?";
 }
 
 } // namespace vboost::resilience

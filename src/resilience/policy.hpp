@@ -17,6 +17,8 @@
 
 #include <string>
 
+#include "common/escalation.hpp"
+
 namespace vboost::resilience {
 
 /** Does the read path react to ECC outcomes at all? */
@@ -29,18 +31,6 @@ enum class AccessPolicyMode
     ClosedLoop,
 };
 
-/** How retry attempts pick their boost level. */
-enum class EscalationPolicy
-{
-    /** Retry at the bank's standing level (re-reads alone can clear a
-     *  transient flip, since faulty cells flip per read with p). */
-    Hold,
-    /** Raise the boost level by one per retry attempt. */
-    StepUp,
-    /** Jump straight to the top boost level on the first retry. */
-    MaxOut,
-};
-
 /** Tunable knobs of the closed-loop SRAM access pipeline. */
 struct ResiliencePolicy
 {
@@ -49,8 +39,12 @@ struct ResiliencePolicy
     /** Extra read attempts after the first (0 = no retry). */
     int retryBudget = 3;
 
-    /** Boost-level ladder the retry attempts climb. */
-    EscalationPolicy escalation = EscalationPolicy::StepUp;
+    /** How retry attempts pick their boost level: Hold retries at the
+     *  bank's standing level (re-reads alone can clear a transient
+     *  flip, since faulty cells flip per read with p), StepUp raises
+     *  it by one per attempt, MaxOut jumps to the top level on the
+     *  first retry. */
+    Escalation escalation = Escalation::StepUp;
 
     /** Standing boost level every bank starts at. */
     int startLevel = 0;
@@ -94,8 +88,7 @@ struct ResiliencePolicy
 
     /** The standard closed loop (retry 3, step-up, 8 spares). */
     static ResiliencePolicy closedLoop(int retry_budget = 3,
-                                       EscalationPolicy esc =
-                                           EscalationPolicy::StepUp,
+                                       Escalation esc = Escalation::StepUp,
                                        int spare_rows = 8);
 
     /** Short human-readable tag, e.g. "closed/r3/stepup/s8". */
@@ -104,9 +97,6 @@ struct ResiliencePolicy
 
 /** Display name of an access-policy mode ("open" / "closed"). */
 const char *toString(AccessPolicyMode mode);
-
-/** Display name of an escalation policy ("hold"/"stepup"/"maxout"). */
-const char *toString(EscalationPolicy esc);
 
 } // namespace vboost::resilience
 

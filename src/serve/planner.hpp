@@ -75,8 +75,11 @@ struct PlannerConfig
     std::vector<Volt> vLogicGrid{};
     /** Pipeline structure of the timing-speculative datapath. */
     timing::TimingParams timingParams;
-    /** Replay policy of the underscaled candidates. */
-    timing::ReplayPolicy replayPolicy = timing::ReplayPolicy::razor();
+    /** Replay policy of the underscaled candidates. The default is
+     *  ReplayPolicy::razor(); spelled as a plain member so that no
+     *  member initializer can throw mid-aggregate (GCC 12 then flags
+     *  every PlannerConfig temporary with -Wmaybe-uninitialized). */
+    timing::ReplayPolicy replayPolicy;
     /** Target datapath clock the timing predictions are made at. */
     Hertz datapathClock{50e6};
     /** Planned per-op corrupted-commit probability above which an

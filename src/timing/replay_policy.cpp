@@ -48,27 +48,13 @@ ReplayPolicy::worstCase()
 }
 
 ReplayPolicy
-ReplayPolicy::razor(int replay_budget, TimingEscalation esc)
+ReplayPolicy::razor(int replay_budget, Escalation esc)
 {
     ReplayPolicy p;
     p.speculative = true;
     p.replayBudget = replay_budget;
     p.escalation = esc;
     return p;
-}
-
-const char *
-toString(TimingEscalation esc)
-{
-    switch (esc) {
-    case TimingEscalation::Hold:
-        return "hold";
-    case TimingEscalation::StepUp:
-        return "stepup";
-    case TimingEscalation::MaxOut:
-        return "maxout";
-    }
-    return "?";
 }
 
 } // namespace vboost::timing

@@ -14,20 +14,10 @@
 
 #include <string>
 
+#include "common/escalation.hpp"
 #include "common/units.hpp"
 
 namespace vboost::timing {
-
-/** What a monitor crossing does to the standing logic voltage. */
-enum class TimingEscalation
-{
-    /** Keep the voltage; replays alone absorb the error rate. */
-    Hold,
-    /** Raise the standing voltage by one ladder rung per crossing. */
-    StepUp,
-    /** Jump straight to the safe fallback rail on the first crossing. */
-    MaxOut,
-};
 
 /** Tunable knobs of the timing-speculative execution pipeline. */
 struct ReplayPolicy
@@ -41,8 +31,11 @@ struct ReplayPolicy
      *  immediately commits a corrupted result). */
     int replayBudget = 3;
 
-    /** Standing-voltage response to monitor crossings. */
-    TimingEscalation escalation = TimingEscalation::StepUp;
+    /** Standing-voltage response to monitor crossings: Hold keeps the
+     *  voltage (replays alone absorb the error rate), StepUp raises it
+     *  one ladder rung per crossing, MaxOut jumps straight to the safe
+     *  fallback rail on the first crossing. */
+    Escalation escalation = Escalation::StepUp;
 
     /** Replay issues run this many clock periods per issue (half-rate
      *  reissue doubles the timing slack of the replay). */
@@ -82,12 +75,8 @@ struct ReplayPolicy
 
     /** The standard Razor loop (replay 3, step-up escalation). */
     static ReplayPolicy
-    razor(int replay_budget = 3,
-          TimingEscalation esc = TimingEscalation::StepUp);
+    razor(int replay_budget = 3, Escalation esc = Escalation::StepUp);
 };
-
-/** Display name of an escalation mode ("hold"/"stepup"/"maxout"). */
-const char *toString(TimingEscalation esc);
 
 } // namespace vboost::timing
 

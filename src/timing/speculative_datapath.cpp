@@ -146,12 +146,12 @@ SpeculativeDatapath::observeIssue(int violating_stage)
                    policy_.ewmaAlpha * x;
         crossed = crossed || ewma_[s] > policy_.raiseThreshold;
     }
-    if (!crossed || policy_.escalation == TimingEscalation::Hold)
+    if (!crossed || policy_.escalation == Escalation::Hold)
         return;
     const int top = static_cast<int>(ladder_.size()) - 1;
     if (rung_ >= top)
         return; // already on the safe rail
-    rung_ = policy_.escalation == TimingEscalation::MaxOut ? top
+    rung_ = policy_.escalation == Escalation::MaxOut ? top
                                                            : rung_ + 1;
     ++stats_.stepUps;
     if (rung_ == top)

@@ -16,6 +16,7 @@
 #include "dnn/trainer.hpp"
 #include "fi/experiment.hpp"
 #include "fi/fault_training.hpp"
+#include "recovery/recovery.hpp"
 
 namespace vboost {
 namespace {
@@ -196,6 +197,97 @@ TEST(FaultAwareTraining, ValidatesConfig)
     cfg.flipProb = 1.0;
     cfg.warmupEpochs = 0;
     EXPECT_NO_THROW(fi::FaultAwareTrainer{cfg});
+}
+
+// ---------------------------------------------------- pinned digests
+//
+// Trained-weight and per-epoch stats digests (§7) of plain and
+// fault-aware SGD on a small FC-DNN: both run the one shared minibatch
+// loop, and these values fix what it computes. Any change to them is a
+// change in what training computes.
+
+dnn::Network
+tinyMnistNet(std::uint64_t seed)
+{
+    Rng r(seed);
+    dnn::Network net;
+    net.addLayer<dnn::Dense>(784, 16, r, "fc1");
+    net.addLayer<dnn::Relu>("relu");
+    net.addLayer<dnn::Dense>(16, 10, r, "fc2");
+    return net;
+}
+
+std::uint64_t
+epochsDigest(const std::vector<dnn::EpochStats> &epochs)
+{
+    std::uint64_t h = recovery::kFnvOffset;
+    for (const auto &e : epochs) {
+        h = recovery::fnvMixDouble(h, e.meanLoss);
+        h = recovery::fnvMixDouble(h, e.trainAccuracy);
+    }
+    return h;
+}
+
+TEST(SgdTraining, PinnedDigestsTwoEpochsWithLrDecay)
+{
+    const auto train = dnn::makeSyntheticMnist(256, 38);
+    dnn::TrainConfig cfg;
+    cfg.epochs = 2;
+    cfg.batchSize = 32;
+    cfg.lrDecay = 0.5;
+    auto net = tinyMnistNet(1);
+    Rng rng(3);
+    const auto stats = dnn::SgdTrainer(cfg).train(net, train, rng);
+    ASSERT_EQ(stats.size(), 2u);
+    EXPECT_EQ(epochsDigest(stats), 0xfb35f14ba7f7fb79ull)
+        << std::hex << epochsDigest(stats);
+    EXPECT_EQ(recovery::weightsDigest(net), 0xcfa7fd59b9db6034ull)
+        << std::hex << recovery::weightsDigest(net);
+}
+
+TEST(FaultAwareTraining, PinnedDigestsWithWarmup)
+{
+    const auto train = dnn::makeSyntheticMnist(256, 39);
+    fi::FaultTrainConfig cfg;
+    cfg.base.epochs = 3;
+    cfg.base.batchSize = 32;
+    cfg.failProb = 0.02;
+    cfg.warmupEpochs = 1;
+    auto net = tinyMnistNet(1);
+    auto scratch = tinyMnistNet(2);
+    Rng rng(3);
+    const auto stats =
+        fi::FaultAwareTrainer(cfg).train(net, scratch, train, rng);
+    ASSERT_EQ(stats.size(), 3u);
+    EXPECT_EQ(epochsDigest(stats), 0xe0b7614a4a329209ull)
+        << std::hex << epochsDigest(stats);
+    EXPECT_EQ(recovery::weightsDigest(net), 0x4352ccf7ea47dd6bull)
+        << std::hex << recovery::weightsDigest(net);
+}
+
+TEST(FaultAwareTraining, HonoursFlipProb)
+{
+    // Faulty cells that never flip corrupt nothing: with flipProb = 0,
+    // training at failProb = 0.5 must equal training at a failProb so
+    // small that no cell is faulty. (failProb = 0 itself would skip the
+    // int16 round trip the other two runs go through.)
+    const auto train = dnn::makeSyntheticMnist(128, 40);
+    auto run = [&](double fail_prob, double flip_prob) {
+        fi::FaultTrainConfig cfg;
+        cfg.base.epochs = 1;
+        cfg.base.batchSize = 32;
+        cfg.failProb = fail_prob;
+        cfg.flipProb = flip_prob;
+        cfg.warmupEpochs = 0;
+        auto net = tinyMnistNet(1);
+        auto scratch = tinyMnistNet(2);
+        Rng rng(3);
+        fi::FaultAwareTrainer(cfg).train(net, scratch, train, rng);
+        return recovery::weightsDigest(net);
+    };
+    const std::uint64_t healthy = run(1e-300, 0.0);
+    EXPECT_EQ(run(0.5, 0.0), healthy);
+    EXPECT_NE(run(0.5, 0.5), healthy);
 }
 
 // ---------------------------------------------------------------- canary

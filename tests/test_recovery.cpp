@@ -389,6 +389,80 @@ TEST(RecoveryDeterminism, TrainersAreBitwiseReproducible)
     EXPECT_EQ(run_fuse(), run_fuse());
 }
 
+// Pinned trained-weight and stats digests (§7): the trainers share one
+// minibatch loop, and these values fix what it computes on the paths
+// the perfbench digests do not reach — warm-up, curriculum, refresh
+// gating on both map models, and the transform's prefix-only update.
+// Any change to them is a change in what training computes.
+
+dnn::Network
+makeTinyNet(std::uint64_t seed)
+{
+    Rng r(seed);
+    dnn::Network net;
+    net.addLayer<dnn::Dense>(784, 16, r, "fc1");
+    net.addLayer<dnn::Relu>("relu");
+    net.addLayer<dnn::Dense>(16, 10, r, "fc2");
+    return net;
+}
+
+TEST(RecoveryDeterminism, PinnedMapAwareDigests)
+{
+    const auto train = dnn::makeSyntheticMnist(256, 36);
+    auto run = [&](sram::MapModel mm) {
+        MapAwareConfig cfg;
+        cfg.train.base.epochs = 4;
+        cfg.train.base.batchSize = 32;
+        cfg.train.failProb = 0.02;
+        cfg.train.warmupEpochs = 1;
+        cfg.curriculumEpochs = 2;
+        cfg.refreshInterval = 3;
+        cfg.mapModel = mm;
+        auto net = makeTinyNet(1);
+        auto scratch = makeTinyNet(2);
+        MapAwareTrainer mat(cfg);
+        Rng trng(9);
+        const auto stats = mat.train(net, scratch, train, trng);
+        EXPECT_EQ(stats.batches, 32u);
+        EXPECT_GT(stats.mapRefreshes, 3u);
+        EXPECT_DOUBLE_EQ(stats.finalInjectedProb, cfg.train.failProb);
+        return std::make_pair(stats.digest(), weightsDigest(net));
+    };
+    const auto iid = run(sram::MapModel::Iid);
+    EXPECT_EQ(iid.first, 0x0357c5ff844fd694ull) << std::hex << iid.first;
+    EXPECT_EQ(iid.second, 0x98509bed774409daull) << std::hex << iid.second;
+    const auto clustered = run(sram::MapModel::Clustered);
+    EXPECT_EQ(clustered.first, 0x69b1537578f8b60dull)
+        << std::hex << clustered.first;
+    EXPECT_EQ(clustered.second, 0x07e929ef7b6960cbull)
+        << std::hex << clustered.second;
+}
+
+TEST(RecoveryDeterminism, PinnedTransformDigests)
+{
+    const auto train = dnn::makeSyntheticMnist(256, 37);
+    auto base = makeTinyNet(1);
+    auto scratch = makeTinyNet(2);
+    const std::uint64_t base_digest = weightsDigest(base);
+    TransformConfig tfc;
+    tfc.hiddenDim = 8;
+    InputTransform tf(tfc);
+    TransformTrainConfig cfg;
+    cfg.base.epochs = 3;
+    cfg.base.batchSize = 32;
+    cfg.failProb = 0.02;
+    cfg.warmupEpochs = 1;
+    TransformTrainer tt(cfg);
+    Rng trng(5);
+    const auto stats = tt.train(tf, base, scratch, train, trng);
+    EXPECT_EQ(stats.batches, 24u);
+    EXPECT_EQ(weightsDigest(base), base_digest);
+    EXPECT_EQ(stats.digest(), 0x16a661adc4df00c5ull)
+        << std::hex << stats.digest();
+    EXPECT_EQ(weightsDigest(tf.network()), 0x9c84712e5036ba06ull)
+        << std::hex << weightsDigest(tf.network());
+}
+
 TEST(RecoveryDeterminism, EvaluatorIsThreadCountInvariant)
 {
     auto test = dnn::makeSyntheticMnist(300, 35);

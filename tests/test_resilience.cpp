@@ -42,7 +42,7 @@ TEST(ResiliencePolicy, OpenLoopNeverEscalates)
 
 TEST(ResiliencePolicy, StepUpClimbsOneLevelPerAttempt)
 {
-    auto p = ResiliencePolicy::closedLoop(3, EscalationPolicy::StepUp);
+    auto p = ResiliencePolicy::closedLoop(3, Escalation::StepUp);
     EXPECT_EQ(p.attemptLevel(0, 0, 4), 0);
     EXPECT_EQ(p.attemptLevel(0, 1, 4), 1);
     EXPECT_EQ(p.attemptLevel(0, 3, 4), 3);
@@ -52,7 +52,7 @@ TEST(ResiliencePolicy, StepUpClimbsOneLevelPerAttempt)
 
 TEST(ResiliencePolicy, MaxOutJumpsToTopOnFirstRetry)
 {
-    auto p = ResiliencePolicy::closedLoop(2, EscalationPolicy::MaxOut);
+    auto p = ResiliencePolicy::closedLoop(2, Escalation::MaxOut);
     EXPECT_EQ(p.attemptLevel(0, 0, 4), 0);
     EXPECT_EQ(p.attemptLevel(0, 1, 4), 4);
     EXPECT_EQ(p.attemptLevel(1, 2, 4), 4);
@@ -60,7 +60,7 @@ TEST(ResiliencePolicy, MaxOutJumpsToTopOnFirstRetry)
 
 TEST(ResiliencePolicy, HoldRetriesAtStandingLevel)
 {
-    auto p = ResiliencePolicy::closedLoop(2, EscalationPolicy::Hold);
+    auto p = ResiliencePolicy::closedLoop(2, Escalation::Hold);
     EXPECT_EQ(p.attemptLevel(1, 0, 4), 1);
     EXPECT_EQ(p.attemptLevel(1, 2, 4), 1);
 }
@@ -85,7 +85,7 @@ TEST(ResiliencePolicy, ValidateRejectsBadKnobs)
 TEST(ResiliencePolicy, NamesAreStable)
 {
     EXPECT_EQ(ResiliencePolicy::openLoop(1).name(), "open/L1");
-    EXPECT_EQ(ResiliencePolicy::closedLoop(3, EscalationPolicy::StepUp, 8)
+    EXPECT_EQ(ResiliencePolicy::closedLoop(3, Escalation::StepUp, 8)
                   .name(),
               "closed/r3/stepup/s8");
 }
@@ -234,7 +234,7 @@ TEST_F(ResilientMemoryTest, ClosedLoopRecoversWhatOpenLoopDrops)
 
     mem_.resetCounters();
     auto closed = wrap(
-        ResiliencePolicy::closedLoop(3, EscalationPolicy::StepUp, 8));
+        ResiliencePolicy::closedLoop(3, Escalation::StepUp, 8));
     Rng data_rng2(3);
     std::uint64_t closed_uncorrected = 0;
     for (std::uint32_t addr = 0; addr < 1024; ++addr) {
@@ -256,7 +256,7 @@ TEST_F(ResilientMemoryTest, QuarantineMovesRowsToSpares)
     // rows fail repeatedly, get remapped, and the table fills up to
     // graceful spare exhaustion.
     auto policy =
-        ResiliencePolicy::closedLoop(0, EscalationPolicy::Hold, 2);
+        ResiliencePolicy::closedLoop(0, Escalation::Hold, 2);
     policy.quarantineThreshold = 1;
     auto rmem = wrap(policy);
     const Volt vdd{0.40};
@@ -295,7 +295,7 @@ TEST_F(ResilientMemoryTest, ClusteredMapsDriveSecdedDoubleBitFailures)
     // only the spatial structure differs.
     const Volt vdd = failure_.voltageForRate(1e-3);
     const auto policy =
-        ResiliencePolicy::closedLoop(0, EscalationPolicy::Hold, 0);
+        ResiliencePolicy::closedLoop(0, Escalation::Hold, 0);
     const sram::ClusterParams cluster; // 576-cell codeword-aligned rows
 
     std::uint64_t iid_uncorrected = 0, clustered_uncorrected = 0;
@@ -330,7 +330,7 @@ TEST_F(ResilientMemoryTest, ClusteredSameRowMapsExhaustSpares)
     // the table capacity and never overflows it.
     const Volt vdd = failure_.voltageForRate(1e-3);
     auto policy =
-        ResiliencePolicy::closedLoop(0, EscalationPolicy::Hold, 2);
+        ResiliencePolicy::closedLoop(0, Escalation::Hold, 2);
     policy.quarantineThreshold = 2;
     const sram::ClusterParams cluster;
     const sram::VulnerabilityMap clustered(
@@ -362,7 +362,7 @@ TEST_F(ResilientMemoryTest, ClusteredSameRowMapsExhaustSpares)
 TEST_F(ResilientMemoryTest, ChronicErrorsRaiseStandingLevel)
 {
     auto policy =
-        ResiliencePolicy::closedLoop(1, EscalationPolicy::StepUp, 0);
+        ResiliencePolicy::closedLoop(1, Escalation::StepUp, 0);
     auto rmem = wrap(policy);
     const Volt vdd{0.40}; // per-access error rate near 1
     const sram::VulnerabilityMap map(31, 0);
@@ -381,7 +381,7 @@ TEST_F(ResilientMemoryTest, ChronicErrorsRaiseStandingLevel)
 
 TEST_F(ResilientMemoryTest, ResetRuntimeStateClearsEverything)
 {
-    auto policy = ResiliencePolicy::closedLoop(0, EscalationPolicy::Hold, 2);
+    auto policy = ResiliencePolicy::closedLoop(0, Escalation::Hold, 2);
     policy.quarantineThreshold = 1;
     auto rmem = wrap(policy);
     const sram::VulnerabilityMap map(23, 0);
@@ -505,7 +505,7 @@ TEST_F(ResilientExperiment, DeterministicAcrossThreadCounts)
     auto test = blobs(200, 12);
     const auto ctx = core::SimContext::standard();
     auto policy = resilience::ResiliencePolicy::closedLoop(
-        2, resilience::EscalationPolicy::StepUp, 4);
+        2, Escalation::StepUp, 4);
     policy.quarantineThreshold = 1; // make quarantines likely
 
     auto run_at = [&](int threads) {

@@ -534,6 +534,16 @@ TEST_F(JointPlannerTest, ValidatesJointConfig)
                  FatalError);
 }
 
+TEST(PlannerConfigDefaults, ReplayPolicyIsTheStandardRazorLoop)
+{
+    const timing::ReplayPolicy def = PlannerConfig{}.replayPolicy;
+    const timing::ReplayPolicy razor = timing::ReplayPolicy::razor();
+    EXPECT_EQ(def.name(), razor.name());
+    EXPECT_EQ(def.speculative, razor.speculative);
+    EXPECT_EQ(def.replayBudget, razor.replayBudget);
+    EXPECT_EQ(def.escalation, razor.escalation);
+}
+
 // ---------------------------------------------------------------------
 // InferenceServer acceptance
 // ---------------------------------------------------------------------

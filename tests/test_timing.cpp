@@ -162,9 +162,9 @@ TEST(ReplayPolicy, NamesAreStable)
 {
     EXPECT_EQ(ReplayPolicy::worstCase().name(), "worstcase");
     EXPECT_EQ(ReplayPolicy::razor().name(), "razor/r3/stepup");
-    EXPECT_EQ(ReplayPolicy::razor(1, TimingEscalation::MaxOut).name(),
+    EXPECT_EQ(ReplayPolicy::razor(1, Escalation::MaxOut).name(),
               "razor/r1/maxout");
-    EXPECT_EQ(ReplayPolicy::razor(0, TimingEscalation::Hold).name(),
+    EXPECT_EQ(ReplayPolicy::razor(0, Escalation::Hold).name(),
               "razor/r0/hold");
 }
 
@@ -227,7 +227,7 @@ TEST(SpeculativeDatapath, DetectOnlyCommitsCorruptedResults)
     // Budget 0 with Hold escalation: violations are detected but
     // never replayed and the rail never moves, so every violating op
     // commits a corrupted result.
-    auto dp = datapath(ReplayPolicy::razor(0, TimingEscalation::Hold),
+    auto dp = datapath(ReplayPolicy::razor(0, Escalation::Hold),
                        0.32_V);
     dp.reseed(9);
     std::vector<std::uint64_t> corrupted;
@@ -242,7 +242,7 @@ TEST(SpeculativeDatapath, DetectOnlyCommitsCorruptedResults)
 
 TEST(SpeculativeDatapath, MaxOutJumpsToTheSafeRail)
 {
-    auto dp = datapath(ReplayPolicy::razor(3, TimingEscalation::MaxOut),
+    auto dp = datapath(ReplayPolicy::razor(3, Escalation::MaxOut),
                        0.32_V);
     dp.reseed(11);
     std::vector<std::uint64_t> corrupted;
@@ -276,7 +276,7 @@ TEST(SpeculativeDatapath, ViolationStreamIsDeterministic)
     // digest; a different key decorrelates the violation pattern.
     // Hold the rung so the whole 3000-op Bernoulli stream (p ~ 0.89)
     // feeds the digest instead of a short pre-escalation prefix.
-    const auto hold = ReplayPolicy::razor(3, TimingEscalation::Hold);
+    const auto hold = ReplayPolicy::razor(3, Escalation::Hold);
     std::vector<std::uint64_t> ca, cb, cc;
     auto a = datapath(hold, 0.33_V);
     auto b = datapath(hold, 0.33_V);
@@ -321,7 +321,7 @@ TEST(TimingStats, MergeIsOrderSensitiveOnTheDigest)
     // a reordered merge is detectable — the §7 reduction contract.
     // Hold the rung so each run's digest reflects its own full
     // violation stream and the two operands genuinely differ.
-    const auto hold = ReplayPolicy::razor(3, TimingEscalation::Hold);
+    const auto hold = ReplayPolicy::razor(3, Escalation::Hold);
     std::vector<std::uint64_t> c1, c2;
     auto a = datapath(hold, 0.33_V);
     auto b = datapath(hold, 0.33_V);
