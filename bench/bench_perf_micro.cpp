@@ -18,6 +18,13 @@
  * entry carries the >= 5x acceptance floor as a hard min-gate. The
  * harness also cross-checks that both backends produce bitwise-equal
  * accuracy curves, so every perf run doubles as an equivalence smoke.
+ *
+ * The resilient read path has two hard-gated entries: `secded_codec`
+ * (one SECDED encode plus one decode of a single-bit-error word) and
+ * `resilient_corrupt_net` (one FC-DNN weight staging through
+ * fi::corruptNetworkResilient at a gold-class operating point), timed
+ * per-cell ("scalar") and through the clean-word index ("indexed");
+ * the two stagings must agree bit for bit.
  */
 
 #include <algorithm>
@@ -28,16 +35,24 @@
 #include <string>
 #include <vector>
 
+#include "accel/dante.hpp"
 #include "bench_util.hpp"
 #include "common/fixed_point.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
+#include "core/context.hpp"
 #include "dnn/backend/backend.hpp"
 #include "dnn/tensor.hpp"
+#include "dnn/zoo.hpp"
 #include "fi/accuracy_curve.hpp"
 #include "fi/experiment.hpp"
+#include "fi/injector.hpp"
 #include "json_writer.hpp"
+#include "resilience/resilient_memory.hpp"
+#include "sram/clean_word_index.hpp"
+#include "sram/ecc.hpp"
+#include "sram/failure_model.hpp"
 #include "sram/fault_map.hpp"
 
 namespace {
@@ -95,6 +110,81 @@ scalarSuite(const bench::BenchOptions &opts, std::vector<PerfEntry> &out)
         g_sink = g_sink + static_cast<std::uint64_t>(map.isFaulty(cell++, 0.01));
     });
     out.push_back({"fault_map_query", "scalar", "soft", ns, 1});
+
+    // secded_codec: encode a word, decode it with one flipped bit.
+    {
+        std::vector<std::uint64_t> words(1 << 16);
+        Rng rng(3);
+        for (auto &w : words)
+            w = rng.next();
+        const double codec_ns = minNsPerOp(3, opts.smoke ? 4 : 32, [&] {
+            std::uint64_t acc = 0;
+            for (const std::uint64_t w : words) {
+                const std::uint8_t c = sram::SecdedCodec::encode(w);
+                acc += sram::SecdedCodec::decode(w ^ 1u, c).data;
+            }
+            g_sink = g_sink + acc;
+        });
+        out.push_back({"secded_codec", "scalar", "hard", codec_ns,
+                       words.size()});
+    }
+}
+
+/**
+ * One FC-DNN weight staging through the closed-loop resilient memory
+ * of a fresh Dante chip, the unit of work a serve batch does. The
+ * operating point is gold-class: F = 2e-4 at the array, so ~1.4% of
+ * the 72-cell codewords hold a faulty cell. Times the per-cell path
+ * and the clean-word-indexed one (index built once, untimed, as a
+ * serve node does) and fatals unless the two agree bit for bit.
+ */
+void
+resilientSuite(const bench::BenchOptions &opts, std::vector<PerfEntry> &out)
+{
+    const auto ctx = core::SimContext::standard();
+    const accel::DanteConfig chip_cfg;
+    Rng init(7);
+    dnn::Network src = dnn::buildMnistFc(init);
+    dnn::Network dst = src.clone();
+    const sram::VulnerabilityMap map(1, 0);
+    const Volt vdd = sram::FailureRateModel(ctx.failure).voltageForRate(2e-4);
+    const sram::CleanWordIndex index =
+        resilience::ResilientMemory::cleanWordIndex(
+            map, accel::DanteChip(chip_cfg, ctx.tech, ctx.failure)
+                     .weightMemory());
+
+    std::uint64_t words = 0;
+    for (const auto &p : src.weightParams())
+        words += (p.value->numel() + 3) / 4;
+
+    std::vector<std::uint64_t> digests(2, 0);
+    const char *const names[] = {"scalar", "indexed"};
+    for (int indexed = 0; indexed < 2; ++indexed) {
+        const double ns = minNsPerOp(3, opts.smoke ? 1 : 2, [&] {
+            accel::DanteChip chip(chip_cfg, ctx.tech, ctx.failure);
+            resilience::ResilientMemory rmem(
+                chip.weightMemory(), ctx,
+                resilience::ResiliencePolicy::closedLoop());
+            rmem.reseed(Rng(11));
+            const std::uint64_t residual =
+                indexed ? fi::corruptNetworkResilient(dst, src, rmem, vdd,
+                                                      map, index)
+                        : fi::corruptNetworkResilient(dst, src, rmem, vdd,
+                                                      map);
+            const resilience::ResilienceStats s = rmem.snapshot();
+            std::uint64_t h = residual;
+            for (const std::uint64_t v :
+                 {s.reads, s.cleanReads, s.correctedReads, s.retries,
+                  s.spareTableDigest})
+                h = h * 0x100000001b3ull ^ v;
+            digests[static_cast<std::size_t>(indexed)] = h;
+        });
+        out.push_back({"resilient_corrupt_net", names[indexed], "hard", ns,
+                       words});
+    }
+    if (digests[0] != digests[1])
+        fatal("perf harness: indexed and per-cell resilient staging "
+              "disagree — bitwise contract violated");
 }
 
 /** Micro-kernel suite for one backend. */
@@ -231,6 +321,7 @@ main(int argc, char **argv)
         backends.push_back(dnn::findBackend(name));
 
     scalarSuite(opts, entries);
+    resilientSuite(opts, entries);
     for (const dnn::Backend *b : backends)
         microSuite(*b, opts, entries);
 

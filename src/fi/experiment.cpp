@@ -373,10 +373,12 @@ FaultInjectionRunner::runResilient(Volt vdd, const core::SimContext &ctx,
             resilience::ResilientMemory rmem(mem, ctx, policy);
             rmem.reseed(Rng(cfg_.seed).split(
                 4000 + static_cast<std::uint64_t>(m)));
+            const sram::CleanWordIndex index =
+                resilience::ResilientMemory::cleanWordIndex(map, mem);
 
             MapResult r;
-            r.bitFlips =
-                corruptNetworkResilient(scratch, net_, rmem, vdd, map);
+            r.bitFlips = corruptNetworkResilient(scratch, net_, rmem, vdd,
+                                                 map, index);
             r.accuracy = dnn::SgdTrainer::evaluate(scratch, evalSet_, 0);
             r.res = rmem.snapshot();
             r.resEnergy = rmem.totalAccessEnergy();
@@ -524,10 +526,12 @@ FaultInjectionRunner::runCombined(Volt v_sram,
             resilience::ResilientMemory rmem(mem, ctx, policy);
             rmem.reseed(Rng(cfg_.seed).split(
                 6000 + static_cast<std::uint64_t>(m)));
+            const sram::CleanWordIndex index =
+                resilience::ResilientMemory::cleanWordIndex(map, mem);
 
             MapResult r;
-            r.bitFlips =
-                corruptNetworkResilient(scratch, net_, rmem, v_sram, map);
+            r.bitFlips = corruptNetworkResilient(scratch, net_, rmem,
+                                                 v_sram, map, index);
 
             timing::SpeculativeDatapath dp(ctx.tech, inj.params,
                                            inj.policy, inj.vLogic,

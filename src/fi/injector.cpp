@@ -157,10 +157,14 @@ corruptNetworkEcc(dnn::Network &dst, dnn::Network &src,
     return flipped;
 }
 
+namespace {
+
+/** Stage the weight image through `rmem`, optionally indexed. */
 std::uint64_t
-corruptNetworkResilient(dnn::Network &dst, dnn::Network &src,
-                        resilience::ResilientMemory &rmem, Volt vdd,
-                        const sram::VulnerabilityMap &map)
+stageResilient(dnn::Network &dst, dnn::Network &src,
+               resilience::ResilientMemory &rmem, Volt vdd,
+               const sram::VulnerabilityMap &map,
+               const sram::CleanWordIndex *index)
 {
     dst.copyParamsFrom(src);
     auto src_weights = src.weightParams();
@@ -187,7 +191,8 @@ corruptNetworkResilient(dnn::Network &dst, dnn::Network &src,
             ++group_cursor;
             rmem.writeWord(addr, word, vdd);
             const resilience::ReadOutcome out =
-                rmem.readWord(addr, vdd, map);
+                index ? rmem.readWord(addr, vdd, map, *index)
+                      : rmem.readWord(addr, vdd, map);
             residual += static_cast<std::uint64_t>(
                 std::popcount(word ^ out.data));
 
@@ -198,6 +203,25 @@ corruptNetworkResilient(dnn::Network &dst, dnn::Network &src,
         *dst_weights[l].value = dnn::dequantize(q);
     }
     return residual;
+}
+
+} // namespace
+
+std::uint64_t
+corruptNetworkResilient(dnn::Network &dst, dnn::Network &src,
+                        resilience::ResilientMemory &rmem, Volt vdd,
+                        const sram::VulnerabilityMap &map)
+{
+    return stageResilient(dst, src, rmem, vdd, map, nullptr);
+}
+
+std::uint64_t
+corruptNetworkResilient(dnn::Network &dst, dnn::Network &src,
+                        resilience::ResilientMemory &rmem, Volt vdd,
+                        const sram::VulnerabilityMap &map,
+                        const sram::CleanWordIndex &index)
+{
+    return stageResilient(dst, src, rmem, vdd, map, &index);
 }
 
 dnn::Tensor

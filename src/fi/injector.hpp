@@ -22,6 +22,7 @@
 
 #include "dnn/network.hpp"
 #include "resilience/resilient_memory.hpp"
+#include "sram/clean_word_index.hpp"
 #include "sram/ecc.hpp"
 #include "sram/fault_map.hpp"
 
@@ -132,6 +133,18 @@ std::uint64_t corruptNetworkResilient(dnn::Network &dst, dnn::Network &src,
                                       resilience::ResilientMemory &rmem,
                                       Volt vdd,
                                       const sram::VulnerabilityMap &map);
+
+/**
+ * As above, reading through a clean-word index of `map` over rmem's
+ * memory (ResilientMemory::cleanWordIndex): words with no faulty cell
+ * skip the per-cell fault draws. Bitwise identical results, counters
+ * and energies; fatals if the index belongs to another map or memory.
+ */
+std::uint64_t corruptNetworkResilient(dnn::Network &dst, dnn::Network &src,
+                                      resilience::ResilientMemory &rmem,
+                                      Volt vdd,
+                                      const sram::VulnerabilityMap &map,
+                                      const sram::CleanWordIndex &index);
 
 /**
  * Corrupt a batch of input images through the input-memory cell

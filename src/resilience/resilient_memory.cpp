@@ -85,18 +85,25 @@ ResilientMemory::writeWord(std::uint32_t addr, std::uint64_t data,
     }
 }
 
+sram::CleanWordIndex
+ResilientMemory::cleanWordIndex(const sram::VulnerabilityMap &map,
+                                const sram::BankedMemory &mem)
+{
+    return sram::CleanWordIndex(map, mem,
+                                kParityRegionBase + mem.cellBase());
+}
+
 std::uint8_t
 ResilientMemory::corruptCheck(std::uint8_t check, std::uint64_t base_cell,
-                              double fail_prob,
+                              double fail_prob, double flip_prob,
                               const sram::VulnerabilityMap &map, Rng &rng)
 {
     if (fail_prob <= 0.0)
         return check;
-    const double flip = mem_.bank(0).flipProb();
     for (int b = 0; b < sram::SecdedCodec::kCheckBits; ++b) {
         if (map.isFaulty(base_cell + static_cast<std::uint64_t>(b),
                          fail_prob) &&
-            rng.bernoulli(flip)) {
+            rng.bernoulli(flip_prob)) {
             check = static_cast<std::uint8_t>(check ^ (1u << b));
         }
     }
@@ -106,26 +113,34 @@ ResilientMemory::corruptCheck(std::uint8_t check, std::uint64_t base_cell,
 sram::EccDecodeResult
 ResilientMemory::attemptRead(std::uint32_t addr, int spare_slot, int level,
                              Volt vdd, const sram::VulnerabilityMap &map,
-                             Rng &rng)
+                             std::uint64_t stream,
+                             const sram::CleanWordIndex *index)
 {
     const int bank = mem_.bankOf(addr);
+    const double flip = mem_.bank(bank).flipProb();
     if (spare_slot < 0) {
         // Primary row: a real bank access (charges access + boost
         // energy in the bank counters at the attempt's level).
         if (mem_.boostLevel(bank) != level)
             mem_.setBoostLevel(bank, level);
-        const std::uint64_t data = mem_.read(addr, vdd, map, rng);
         const double fail = mem_.bank(bank).failProbAt(vdd);
+        // No faulty cell among the word's 72: the fault draws below
+        // would consume nothing and flip nothing (§8).
+        if (index && index->clean(addr, fail))
+            return sram::SecdedCodec::decode(mem_.readClean(addr, vdd),
+                                             check_[addr]);
+        Rng rng = base_.split(stream);
+        const std::uint64_t data = mem_.read(addr, vdd, map, rng);
         const std::uint8_t check = corruptCheck(
             check_[addr], parityBase_ + static_cast<std::uint64_t>(addr) * 8,
-            fail, map, rng);
+            fail, flip, map, rng);
         return sram::SecdedCodec::decode(data, check);
     }
 
     // Spare row: same bank conditions, fresh cells in the spare region.
+    Rng rng = base_.split(stream);
     const Volt vddv = supply_.boostedVoltage(vdd, level);
     const double fail = failure_.rate(vddv);
-    const double flip = mem_.bank(bank).flipProb();
     const SpareRow &row =
         spares_.row(spare_slot); // image is golden; faults manifest here
     std::uint64_t data = row.data;
@@ -139,7 +154,7 @@ ResilientMemory::attemptRead(std::uint32_t addr, int spare_slot, int level,
         }
     }
     const std::uint8_t check = corruptCheck(row.check, base + 64, fail,
-                                            map, rng);
+                                            flip, map, rng);
     stats_.spareEnergy +=
         supply_.energyModel().sramAccessEnergy(vddv, mem_.banks());
     if (level > 0)
@@ -150,6 +165,23 @@ ResilientMemory::attemptRead(std::uint32_t addr, int spare_slot, int level,
 ReadOutcome
 ResilientMemory::readWord(std::uint32_t addr, Volt vdd,
                           const sram::VulnerabilityMap &map)
+{
+    return read(addr, vdd, map, nullptr);
+}
+
+ReadOutcome
+ResilientMemory::readWord(std::uint32_t addr, Volt vdd,
+                          const sram::VulnerabilityMap &map,
+                          const sram::CleanWordIndex &index)
+{
+    index.requireMatch(map, mem_, parityBase_);
+    return read(addr, vdd, map, &index);
+}
+
+ReadOutcome
+ResilientMemory::read(std::uint32_t addr, Volt vdd,
+                      const sram::VulnerabilityMap &map,
+                      const sram::CleanWordIndex *index)
 {
     const int bank = mem_.bankOf(addr);
     const int slot = spares_.find(addr);
@@ -171,9 +203,10 @@ ResilientMemory::readWord(std::uint32_t addr, Volt vdd,
                                  attempt, maxLevel_);
         // Per-access counter-based stream: independent of thread
         // scheduling and of how much randomness other reads consumed.
-        Rng rng = base_.split(access * ResiliencePolicy::kMaxAttempts +
-                              static_cast<std::uint64_t>(attempt));
-        dec = attemptRead(addr, slot, level, vdd, map, rng);
+        dec = attemptRead(addr, slot, level, vdd, map,
+                          access * ResiliencePolicy::kMaxAttempts +
+                              static_cast<std::uint64_t>(attempt),
+                          index);
         out.level = level;
         if (attempt == 0) {
             first_error = dec.outcome != sram::EccOutcome::Clean;

@@ -36,6 +36,7 @@
 #include "resilience/policy.hpp"
 #include "resilience/spare_table.hpp"
 #include "sram/banked_memory.hpp"
+#include "sram/clean_word_index.hpp"
 #include "sram/ecc.hpp"
 
 namespace vboost::resilience {
@@ -126,6 +127,22 @@ class ResilientMemory
     ReadOutcome readWord(std::uint32_t addr, Volt vdd,
                          const sram::VulnerabilityMap &map);
 
+    /**
+     * As above, with a clean-word index of `map` over this memory: a
+     * primary-row attempt on a word with no faulty cell skips the
+     * per-cell fault draws, which would change nothing (DESIGN.md §8).
+     * Bitwise identical to the overload without an index. Fatals if
+     * `index` was built for another map or memory.
+     */
+    ReadOutcome readWord(std::uint32_t addr, Volt vdd,
+                         const sram::VulnerabilityMap &map,
+                         const sram::CleanWordIndex &index);
+
+    /** Build the clean-word index of `map` over `mem`'s data cells and
+     *  the check cells a ResilientMemory wrapping `mem` uses. */
+    static sram::CleanWordIndex cleanWordIndex(
+        const sram::VulnerabilityMap &map, const sram::BankedMemory &mem);
+
     /** Stage a buffer of int16 values (4 per word), as the accelerator
      *  writes a weight tile. Partial edge words read-modify-write. */
     void writeWords16(std::uint32_t elem16,
@@ -171,16 +188,24 @@ class ResilientMemory
                        const obs::Labels &labels = {}) const;
 
   private:
+    /** readWord with an optional clean-word index. */
+    ReadOutcome read(std::uint32_t addr, Volt vdd,
+                     const sram::VulnerabilityMap &map,
+                     const sram::CleanWordIndex *index);
+
     /** One read attempt; primary rows go through the real bank read
-     *  path, spare rows manifest faults on the spare cell region. */
+     *  path, spare rows manifest faults on the spare cell region.
+     *  `stream` names the attempt's counter-split flip stream. */
     sram::EccDecodeResult attemptRead(std::uint32_t addr, int spare_slot,
                                       int level, Volt vdd,
                                       const sram::VulnerabilityMap &map,
-                                      Rng &rng);
+                                      std::uint64_t stream,
+                                      const sram::CleanWordIndex *index);
 
-    /** Corrupt a check byte through the parity cell region. */
+    /** Corrupt a check byte through the parity cell region; each
+     *  faulty cell flips with probability `flip_prob`. */
     std::uint8_t corruptCheck(std::uint8_t check, std::uint64_t base_cell,
-                              double fail_prob,
+                              double fail_prob, double flip_prob,
                               const sram::VulnerabilityMap &map, Rng &rng);
 
     /** Raise a bank's standing level (canary-floored). */

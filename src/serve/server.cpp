@@ -118,7 +118,11 @@ InferenceServer::InferenceServer(const core::SimContext &ctx,
       cfg_(std::move(cfg)),
       perf_(ctx_, cfg_.chip.weightBanks, cfg_.perf),
       failure_(ctx_.failure),
-      deviceMap_(cfg_.seed, 0)
+      deviceMap_(cfg_.seed, 0),
+      weightIndex_(resilience::ResilientMemory::cleanWordIndex(
+          deviceMap_,
+          accel::DanteChip(cfg_.chip, ctx_.tech, ctx_.failure)
+              .weightMemory()))
 {
     cfg_.validate();
     if (pool_.size() == 0)
@@ -231,7 +235,7 @@ InferenceServer::executeBatch(const FormedBatch &batch, BatchRecord &rec,
     const Rng base(cfg_.seed);
     rmem.reseed(base.split(1'000'000 + 2 * batch.seq));
     rec.residualFlips = fi::corruptNetworkResilient(
-        *scratch.net, net_, rmem, rec.plan.vdd, deviceMap_);
+        *scratch.net, net_, rmem, rec.plan.vdd, deviceMap_, weightIndex_);
 
     std::vector<std::size_t> samples;
     samples.reserve(batch.requests.size());

@@ -39,6 +39,7 @@
 #include "serve/planner.hpp"
 #include "serve/queue.hpp"
 #include "serve/request.hpp"
+#include "sram/clean_word_index.hpp"
 #include "sram/failure_model.hpp"
 #include "sram/fault_map.hpp"
 
@@ -289,6 +290,9 @@ class InferenceServer
     sram::FailureRateModel failure_;
     /** The device's fault map (const, shared across workers). */
     sram::VulnerabilityMap deviceMap_;
+    /** Clean-word index of deviceMap_ over the chip's weight memory
+     *  (const, shared across workers). */
+    sram::CleanWordIndex weightIndex_;
 
     std::vector<WorkerScratch> scratch_;
 

@@ -82,6 +82,14 @@ BankedMemory::read(std::uint32_t addr, Volt vdd, const VulnerabilityMap &map,
 }
 
 std::uint64_t
+BankedMemory::readClean(std::uint32_t addr, Volt vdd)
+{
+    const int b = bankOf(addr);
+    return banks_[static_cast<std::size_t>(b)].readClean(
+        addr % SramBank::kWords, vdd);
+}
+
+std::uint64_t
 BankedMemory::peek(std::uint32_t addr) const
 {
     const int b = bankOf(addr);

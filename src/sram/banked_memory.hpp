@@ -69,6 +69,10 @@ class BankedMemory
     std::uint64_t read(std::uint32_t addr, Volt vdd,
                        const VulnerabilityMap &map, Rng &rng);
 
+    /** A charged read of a word with no faulty cell at the current
+     *  operating point (SramBank::readClean). */
+    std::uint64_t readClean(std::uint32_t addr, Volt vdd);
+
     /** Fault-free debug read. */
     std::uint64_t peek(std::uint32_t addr) const;
 

@@ -1,85 +1,85 @@
 #include "sram/ecc.hpp"
 
+#include <array>
 #include <bit>
 
 namespace vboost::sram {
 
 namespace {
 
-/** Is codeword position p (1-based) a Hamming check position? */
+/**
+ * Hamming(72, 64) layout: codeword positions 1..71 hold the 64 data
+ * bits at the non-power-of-two positions (3, 5, 6, 7, 9, ...) in
+ * order, and check bit i at position 2^i. The syndrome of a codeword
+ * is the XOR of the positions of its set bits, so syndrome bit i is
+ * the parity of the set bits whose position has bit i set.
+ */
+constexpr int kPositions = 71;
+
 constexpr bool
 isCheckPos(int p)
 {
     return (p & (p - 1)) == 0; // power of two
 }
 
-/** Number of codeword positions used (1..71 holds 64 data + 7 check). */
-constexpr int kPositions = 71;
-
-/**
- * Scatter 64 data bits into codeword positions 1..71, skipping the
- * seven power-of-two check positions. Returns a 72-bit value whose
- * bit p (p >= 1) is codeword position p; check positions are zero.
- */
-std::uint64_t
-scatterLow(std::uint64_t data, std::uint64_t &high)
+/** Codeword position of each data bit. */
+constexpr std::array<int, 64>
+dataPositions()
 {
-    // Positions 1..63 fit in the low word (bit index == position);
-    // positions 64..71 go into `high` (bit index == position - 64).
-    std::uint64_t low = 0;
-    high = 0;
+    std::array<int, 64> pos{};
     int bit = 0;
     for (int p = 1; p <= kPositions; ++p) {
-        if (isCheckPos(p))
-            continue;
-        const std::uint64_t v = (data >> bit) & 1ull;
-        if (p < 64)
-            low |= v << p;
-        else
-            high |= v << (p - 64);
-        ++bit;
+        if (!isCheckPos(p))
+            pos[static_cast<std::size_t>(bit++)] = p;
     }
-    return low;
+    return pos;
 }
 
-/** Gather the 64 data bits back out of the codeword. */
-std::uint64_t
-gather(std::uint64_t low, std::uint64_t high)
+constexpr std::array<int, 64> kDataPos = dataPositions();
+
+/** Parity masks: bit b of kParityMask[i] is set iff data bit b sits
+ *  at a codeword position with bit i set. */
+constexpr std::array<std::uint64_t, 7>
+parityMasks()
 {
-    std::uint64_t data = 0;
-    int bit = 0;
-    for (int p = 1; p <= kPositions; ++p) {
-        if (isCheckPos(p))
-            continue;
-        const std::uint64_t v =
-            p < 64 ? (low >> p) & 1ull : (high >> (p - 64)) & 1ull;
-        data |= v << bit;
-        ++bit;
+    std::array<std::uint64_t, 7> m{};
+    for (int i = 0; i < 7; ++i) {
+        for (int b = 0; b < 64; ++b) {
+            if ((kDataPos[static_cast<std::size_t>(b)] >> i) & 1)
+                m[static_cast<std::size_t>(i)] |= 1ull << b;
+        }
     }
-    return data;
+    return m;
 }
 
-/** XOR of the positions of all set bits: the Hamming syndrome. */
-int
-syndromeOf(std::uint64_t low, std::uint64_t high)
+constexpr std::array<std::uint64_t, 7> kParityMask = parityMasks();
+
+/** Syndrome -> data-bit flip: the data bit at codeword position s, or
+ *  0 when s names a check bit, the overall parity bit (s == 0) or no
+ *  position at all (s > 71, an odd multi-bit error). */
+constexpr std::array<std::uint64_t, 128>
+syndromeFlips()
 {
-    int s = 0;
-    for (int p = 1; p < 64; ++p) {
-        if ((low >> p) & 1ull)
-            s ^= p;
-    }
-    for (int p = 64; p <= kPositions; ++p) {
-        if ((high >> (p - 64)) & 1ull)
-            s ^= p;
-    }
+    std::array<std::uint64_t, 128> t{};
+    for (int b = 0; b < 64; ++b)
+        t[static_cast<std::size_t>(kDataPos[static_cast<std::size_t>(b)])] =
+            1ull << b;
+    return t;
+}
+
+constexpr std::array<std::uint64_t, 128> kSyndromeFlip = syndromeFlips();
+
+/** The 7 Hamming check bits of a data word (its data-only syndrome). */
+unsigned
+hammingBits(std::uint64_t data)
+{
+    unsigned s = 0;
+    for (int i = 0; i < 7; ++i)
+        s |= static_cast<unsigned>(
+                 std::popcount(data & kParityMask[static_cast<std::size_t>(i)]) &
+                 1)
+             << i;
     return s;
-}
-
-/** Parity (number of set bits mod 2) of the whole codeword. */
-int
-parityOf(std::uint64_t low, std::uint64_t high)
-{
-    return (std::popcount(low) + std::popcount(high)) & 1;
 }
 
 } // namespace
@@ -87,71 +87,37 @@ parityOf(std::uint64_t low, std::uint64_t high)
 std::uint8_t
 SecdedCodec::encode(std::uint64_t data)
 {
-    std::uint64_t high;
-    std::uint64_t low = scatterLow(data, high);
-
-    // Choose the 7 check bits so the syndrome of the full codeword is
-    // zero: each check bit at position 2^i absorbs bit i of the
-    // data-only syndrome.
-    const int s = syndromeOf(low, high);
-    std::uint8_t check = 0;
-    for (int i = 0; i < 7; ++i) {
-        if ((s >> i) & 1) {
-            check |= static_cast<std::uint8_t>(1u << i);
-            const int p = 1 << i;
-            if (p < 64)
-                low |= 1ull << p;
-            else
-                high |= 1ull << (p - 64);
-        }
-    }
-    // Eighth bit: overall parity of the 71-bit codeword (even parity).
-    if (parityOf(low, high))
-        check |= 0x80;
-    return check;
+    // Check bit i at position 2^i absorbs bit i of the data-only
+    // syndrome, zeroing the full codeword's syndrome. The eighth bit
+    // is the even overall parity of the 71-bit codeword.
+    const unsigned hamming = hammingBits(data);
+    const unsigned parity = static_cast<unsigned>(
+        (std::popcount(data) + std::popcount(hamming)) & 1);
+    return static_cast<std::uint8_t>(hamming | (parity << 7));
 }
 
 EccDecodeResult
 SecdedCodec::decode(std::uint64_t data, std::uint8_t check)
 {
-    std::uint64_t high;
-    std::uint64_t low = scatterLow(data, high);
-    for (int i = 0; i < 7; ++i) {
-        if ((check >> i) & 1) {
-            const int p = 1 << i;
-            if (p < 64)
-                low |= 1ull << p;
-            else
-                high |= 1ull << (p - 64);
-        }
-    }
-
-    const int s = syndromeOf(low, high);
-    const int stored_parity = (check >> 7) & 1;
-    const int parity_ok = parityOf(low, high) == stored_parity;
+    const unsigned stored = check & 0x7fu;
+    const unsigned s = hammingBits(data) ^ stored;
+    const bool parity_ok =
+        ((std::popcount(data) + std::popcount(stored)) & 1) ==
+        ((check >> 7) & 1);
 
     EccDecodeResult result;
+    result.data = data;
     if (s == 0 && parity_ok) {
-        result.data = data;
         result.outcome = EccOutcome::Clean;
-        return result;
-    }
-    if (!parity_ok) {
+    } else if (!parity_ok) {
         // Odd number of errors; assume one and correct it. s == 0
         // means the overall parity bit itself flipped.
-        if (s >= 1 && s <= kPositions) {
-            if (s < 64)
-                low ^= 1ull << s;
-            else
-                high ^= 1ull << (s - 64);
-        }
-        result.data = gather(low, high);
+        result.data = data ^ kSyndromeFlip[s];
         result.outcome = EccOutcome::Corrected;
-        return result;
+    } else {
+        // Syndrome non-zero with even parity: double error detected.
+        result.outcome = EccOutcome::DetectedUncorrectable;
     }
-    // Syndrome non-zero with even parity: double error detected.
-    result.data = data;
-    result.outcome = EccOutcome::DetectedUncorrectable;
     return result;
 }
 

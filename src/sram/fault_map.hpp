@@ -59,6 +59,8 @@ struct ClusterParams
     /** Fatals on out-of-range parameters. */
     void validate() const;
 
+    bool operator==(const ClusterParams &) const = default;
+
     /** Fraction of cells covered by a defective row or column. */
     double coverage() const
     {
@@ -137,13 +139,18 @@ class VulnerabilityMap
      *  exact per-cell draws without going through isFaulty(). */
     std::uint64_t streamKey() const { return streamKey_; }
 
+    /**
+     * Stratum fail probabilities under MapModel::Clustered: `hi` for
+     * cells inside a defect cluster, `lo` for the rest, calibrated so
+     * cov*hi + (1-cov)*lo == fail_prob. isFaulty() compares a cell's
+     * hash against probThreshold() of its stratum's value whenever
+     * 0 < fail_prob < 1; CleanWordIndex compares against the same.
+     */
+    void stratumProbs(double fail_prob, double &hi, double &lo) const;
+
   private:
     /** Counter-based hash of the cell id to a uniform in [0,1). */
     double cellUniform(std::uint64_t cell) const;
-
-    /** Stratum fail probabilities (boosted, depressed) calibrated so
-     *  cov*hi + (1-cov)*lo == fail_prob. */
-    void stratumProbs(double fail_prob, double &hi, double &lo) const;
 
     std::uint64_t seed_;
     std::uint64_t mapIndex_;

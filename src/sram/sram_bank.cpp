@@ -56,7 +56,31 @@ SramBank::effectiveVoltage(Volt vdd) const
 double
 SramBank::failProbAt(Volt vdd) const
 {
+    const auto level = static_cast<std::size_t>(bic_.enabledLevel());
+    if (vdd == costsVdd_ && costs_[level].valid)
+        return costs_[level].failProb;
     return failure_.rate(effectiveVoltage(vdd));
+}
+
+const SramBank::AccessCosts &
+SramBank::costsAt(Volt vdd)
+{
+    if (vdd != costsVdd_) {
+        costsVdd_ = vdd;
+        costs_.assign(static_cast<std::size_t>(levels()) + 1,
+                      AccessCosts{});
+    }
+    const int level = bic_.enabledLevel();
+    AccessCosts &c = costs_[static_cast<std::size_t>(level)];
+    if (!c.valid) {
+        const Volt vddv = booster_.boostedVoltage(vdd, level);
+        c.access = energy_.sramAccessEnergy(vddv, numBanksInMemory_);
+        if (level > 0)
+            c.boost = booster_.boostEventEnergy(vdd, level);
+        c.failProb = failure_.rate(vddv);
+        c.valid = true;
+    }
+    return c;
 }
 
 const SramMacro &
@@ -71,12 +95,10 @@ SramBank::macroFor(std::uint32_t addr, std::uint32_t &macro_addr) const
 void
 SramBank::chargeAccess(Volt vdd)
 {
-    const int level = bic_.enabledLevel();
-    const Volt vddv = booster_.boostedVoltage(vdd, level);
-    counters_.accessEnergy +=
-        energy_.sramAccessEnergy(vddv, numBanksInMemory_);
-    if (level > 0) {
-        counters_.boostEnergy += booster_.boostEventEnergy(vdd, level);
+    const AccessCosts &c = costsAt(vdd);
+    counters_.accessEnergy += c.access;
+    if (bic_.enabledLevel() > 0) {
+        counters_.boostEnergy += c.boost;
         ++counters_.boostEvents;
     }
 }
@@ -100,7 +122,17 @@ SramBank::read(std::uint32_t addr, Volt vdd, const VulnerabilityMap &map,
     chargeAccess(vdd);
     ++counters_.reads;
     return macro.read(macro_addr, map,
-                      FaultParams{failProbAt(vdd), flipProb_}, rng);
+                      FaultParams{costsAt(vdd).failProb, flipProb_}, rng);
+}
+
+std::uint64_t
+SramBank::readClean(std::uint32_t addr, Volt vdd)
+{
+    std::uint32_t macro_addr;
+    const auto &macro = macroFor(addr, macro_addr);
+    chargeAccess(vdd);
+    ++counters_.reads;
+    return macro.peek(macro_addr);
 }
 
 std::uint64_t

@@ -15,6 +15,8 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "circuit/bic.hpp"
 #include "circuit/booster.hpp"
@@ -89,6 +91,15 @@ class SramBank
     std::uint64_t read(std::uint32_t addr, Volt vdd,
                        const VulnerabilityMap &map, Rng &rng);
 
+    /**
+     * Read a word none of whose cells is faulty at the current
+     * operating point: charges the access exactly like read() and
+     * returns the stored word without consulting the fault map (which
+     * would draw nothing and flip nothing). The caller vouches for
+     * the word, e.g. through a CleanWordIndex.
+     */
+    std::uint64_t readClean(std::uint32_t addr, Volt vdd);
+
     /** Fault-free debug read (no energy, no faults). */
     std::uint64_t peek(std::uint32_t addr) const;
 
@@ -114,9 +125,21 @@ class SramBank
     void setFlipProb(double p);
 
   private:
+    /** What one access costs at a (vdd, enabled level) pair. */
+    struct AccessCosts
+    {
+        bool valid = false;
+        Joule access{0.0};
+        Joule boost{0.0};
+        double failProb = 0.0;
+    };
+
     const SramMacro &macroFor(std::uint32_t addr,
                               std::uint32_t &macro_addr) const;
     void chargeAccess(Volt vdd);
+    /** The access costs at vdd and the enabled level, computed once
+     *  per (vdd, level) and memoized until vdd changes. */
+    const AccessCosts &costsAt(Volt vdd);
 
     int bankId_;
     circuit::BoosterBank booster_;
@@ -127,6 +150,10 @@ class SramBank
     double flipProb_ = 0.5;
     std::array<SramMacro, kMacros> macros_;
     BankCounters counters_;
+    /** costsAt() memo: one entry per enabled level, all at costsVdd_
+     *  (NaN until the first access, so it matches no supply). */
+    Volt costsVdd_{std::numeric_limits<double>::quiet_NaN()};
+    std::vector<AccessCosts> costs_;
 };
 
 } // namespace vboost::sram

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "common/rng.hpp"
@@ -158,6 +159,237 @@ TEST_P(SecdedRateSweep, CorrectionRateMatchesBinomial)
 
 INSTANTIATE_TEST_SUITE_P(PerBitRates, SecdedRateSweep,
                          ::testing::Values(1e-4, 1e-3, 5e-3, 2e-2));
+
+/**
+ * Reference codec: the original bit-by-bit Hamming(72,64) encoder and
+ * decoder (scatter the data into codeword positions 1..71, XOR the
+ * positions of the set bits). SecdedCodec's parity-mask version must
+ * agree with it on every check byte, datum and outcome.
+ */
+namespace bitloop {
+
+constexpr int kPositions = 71;
+
+constexpr bool
+isCheckPos(int p)
+{
+    return (p & (p - 1)) == 0;
+}
+
+std::uint64_t
+scatterLow(std::uint64_t data, std::uint64_t &high)
+{
+    std::uint64_t low = 0;
+    high = 0;
+    int bit = 0;
+    for (int p = 1; p <= kPositions; ++p) {
+        if (isCheckPos(p))
+            continue;
+        const std::uint64_t v = (data >> bit) & 1ull;
+        if (p < 64)
+            low |= v << p;
+        else
+            high |= v << (p - 64);
+        ++bit;
+    }
+    return low;
+}
+
+std::uint64_t
+gather(std::uint64_t low, std::uint64_t high)
+{
+    std::uint64_t data = 0;
+    int bit = 0;
+    for (int p = 1; p <= kPositions; ++p) {
+        if (isCheckPos(p))
+            continue;
+        const std::uint64_t v =
+            p < 64 ? (low >> p) & 1ull : (high >> (p - 64)) & 1ull;
+        data |= v << bit;
+        ++bit;
+    }
+    return data;
+}
+
+int
+syndromeOf(std::uint64_t low, std::uint64_t high)
+{
+    int s = 0;
+    for (int p = 1; p < 64; ++p) {
+        if ((low >> p) & 1ull)
+            s ^= p;
+    }
+    for (int p = 64; p <= kPositions; ++p) {
+        if ((high >> (p - 64)) & 1ull)
+            s ^= p;
+    }
+    return s;
+}
+
+int
+parityOf(std::uint64_t low, std::uint64_t high)
+{
+    return (std::popcount(low) + std::popcount(high)) & 1;
+}
+
+void
+setPos(std::uint64_t &low, std::uint64_t &high, int p)
+{
+    if (p < 64)
+        low |= 1ull << p;
+    else
+        high |= 1ull << (p - 64);
+}
+
+std::uint8_t
+encode(std::uint64_t data)
+{
+    std::uint64_t high;
+    std::uint64_t low = scatterLow(data, high);
+    const int s = syndromeOf(low, high);
+    std::uint8_t check = 0;
+    for (int i = 0; i < 7; ++i) {
+        if ((s >> i) & 1) {
+            check |= static_cast<std::uint8_t>(1u << i);
+            setPos(low, high, 1 << i);
+        }
+    }
+    if (parityOf(low, high))
+        check |= 0x80;
+    return check;
+}
+
+EccDecodeResult
+decode(std::uint64_t data, std::uint8_t check)
+{
+    std::uint64_t high;
+    std::uint64_t low = scatterLow(data, high);
+    for (int i = 0; i < 7; ++i) {
+        if ((check >> i) & 1)
+            setPos(low, high, 1 << i);
+    }
+    const int s = syndromeOf(low, high);
+    const bool parity_ok = parityOf(low, high) == ((check >> 7) & 1);
+    EccDecodeResult result;
+    result.data = data;
+    if (s == 0 && parity_ok)
+        return result;
+    if (!parity_ok) {
+        if (s >= 1 && s <= kPositions) {
+            if (s < 64)
+                low ^= 1ull << s;
+            else
+                high ^= 1ull << (s - 64);
+        }
+        result.data = gather(low, high);
+        result.outcome = EccOutcome::Corrected;
+        return result;
+    }
+    result.outcome = EccOutcome::DetectedUncorrectable;
+    return result;
+}
+
+} // namespace bitloop
+
+/** Flip codeword bit `bit` (0..63 data, 64..71 check). */
+void
+flipCodewordBit(std::uint64_t &data, std::uint8_t &check, int bit)
+{
+    if (bit < 64)
+        data ^= 1ull << bit;
+    else
+        check = static_cast<std::uint8_t>(check ^ (1u << (bit - 64)));
+}
+
+/** Both codecs decode (data, check) alike. */
+::testing::AssertionResult
+decodesLikeBitLoop(std::uint64_t data, std::uint8_t check)
+{
+    const EccDecodeResult got = SecdedCodec::decode(data, check);
+    const EccDecodeResult want = bitloop::decode(data, check);
+    if (got.data == want.data && got.outcome == want.outcome)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "data " << data << " check " << int{check} << ": got ("
+           << got.data << ", " << static_cast<int>(got.outcome)
+           << "), bit loop (" << want.data << ", "
+           << static_cast<int>(want.outcome) << ")";
+}
+
+TEST(SecdedOracle, PinnedCheckBytes)
+{
+    EXPECT_EQ(SecdedCodec::encode(0ull), 0x00);
+    EXPECT_EQ(SecdedCodec::encode(~0ull), 0xff);
+    EXPECT_EQ(SecdedCodec::encode(0xaaaaaaaaaaaaaaaaull), 0xaa);
+    EXPECT_EQ(SecdedCodec::encode(0x0123456789abcdefull), 0x9c);
+    EXPECT_EQ(SecdedCodec::encode(1ull), 0x83);
+    EXPECT_EQ(SecdedCodec::encode(0x8000000000000000ull), 0xc7);
+}
+
+TEST(SecdedOracle, RandomWordsMatchBitLoop)
+{
+    Rng rng(11);
+    for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t data = rng.next();
+        const std::uint8_t check = SecdedCodec::encode(data);
+        ASSERT_EQ(check, bitloop::encode(data)) << data;
+        ASSERT_TRUE(decodesLikeBitLoop(data, check));
+        // An arbitrary (mostly inconsistent) check byte too.
+        ASSERT_TRUE(decodesLikeBitLoop(
+            data, static_cast<std::uint8_t>(rng.next())));
+    }
+}
+
+TEST(SecdedOracle, EverySingleAndDoubleFlipMatchesBitLoop)
+{
+    Rng rng(12);
+    const std::uint64_t words[] = {0ull, ~0ull, 0xaaaaaaaaaaaaaaaaull,
+                                   rng.next(), rng.next(), rng.next()};
+    for (const std::uint64_t data : words) {
+        const std::uint8_t check = SecdedCodec::encode(data);
+        for (int i = 0; i < 72; ++i) {
+            std::uint64_t d = data;
+            std::uint8_t c = check;
+            flipCodewordBit(d, c, i);
+            ASSERT_TRUE(decodesLikeBitLoop(d, c)) << "bit " << i;
+            for (int j = i + 1; j < 72; ++j) {
+                std::uint64_t d2 = d;
+                std::uint8_t c2 = c;
+                flipCodewordBit(d2, c2, j);
+                ASSERT_TRUE(decodesLikeBitLoop(d2, c2))
+                    << "bits " << i << "," << j;
+            }
+        }
+    }
+}
+
+TEST(SecdedOracle, MultiBitFlipsMatchBitLoop)
+{
+    // Three or more flips alias to Clean, Corrected (a miscorrection)
+    // or DetectedUncorrectable; the two codecs must alias identically.
+    Rng rng(13);
+    for (int i = 0; i < 100000; ++i) {
+        const std::uint64_t data = rng.next();
+        const int flips = 3 + static_cast<int>(rng.uniformInt(10));
+        // Draw `flips` distinct codeword bits.
+        std::uint64_t data_flips = 0;
+        std::uint8_t check_flips = 0;
+        while (std::popcount(data_flips) + std::popcount(check_flips) <
+               flips) {
+            const int bit = static_cast<int>(rng.uniformInt(72));
+            if (bit < 64)
+                data_flips |= 1ull << bit;
+            else
+                check_flips = static_cast<std::uint8_t>(
+                    check_flips | (1u << (bit - 64)));
+        }
+        ASSERT_TRUE(decodesLikeBitLoop(
+            data ^ data_flips,
+            static_cast<std::uint8_t>(SecdedCodec::encode(data) ^
+                                      check_flips)))
+            << "pattern " << i;
+    }
+}
 
 } // namespace
 } // namespace vboost::sram
