@@ -1,6 +1,7 @@
 #include "dnn/backend/backend.hpp"
 
 #include <atomic>
+#include <cmath>
 
 #include "dnn/backend/impl.hpp"
 
@@ -63,5 +64,46 @@ setActiveBackend(std::string_view name)
     activeSlot().store(b, std::memory_order_release);
     return true;
 }
+
+std::string_view
+autoIsaTier()
+{
+    if (detail::vectorizedBackendIfAvailable() == nullptr)
+        return "scalar";
+    return detail::avx512GemmAvailable() ? "avx512" : "avx2";
+}
+
+namespace detail {
+
+std::vector<std::size_t>
+negativeZeroSeeds(const float *c, std::size_t count)
+{
+    std::vector<std::size_t> seeds;
+    for (std::size_t e = 0; e < count; ++e)
+        if (c[e] == 0.0f && std::signbit(c[e]))
+            seeds.push_back(e);
+    return seeds;
+}
+
+void
+replayZeroSkipChains(const std::vector<std::size_t> &seeds, const float *a,
+                     const float *b, float *c, int k, int n)
+{
+    const auto un = static_cast<std::size_t>(n);
+    for (const std::size_t e : seeds) {
+        const float *arow = a + e / un * static_cast<std::size_t>(k);
+        const float *bcol = b + e % un;
+        float acc = -0.0f; // the recorded seed
+        for (int kk = 0; kk < k; ++kk) {
+            if (arow[kk] == 0.0f)
+                continue;
+            // vblint: assoc-ok(the reference gemm's ascending-k chain, replayed)
+            acc += arow[kk] * bcol[static_cast<std::size_t>(kk) * un];
+        }
+        c[e] = acc;
+    }
+}
+
+} // namespace detail
 
 } // namespace vboost::dnn

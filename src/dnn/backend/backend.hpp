@@ -1,8 +1,10 @@
 /**
  * @file
  * Swappable compute backends (DESIGN.md §12). A Backend owns the hot
- * kernels of the repro — forward GEMM, the im2col convolution and the
- * fault-map application / fused corrupt-and-dequantize kernels the
+ * kernels of the repro — forward GEMM, the im2col convolution, the
+ * training kernels of the backward pass (transposed GEMMs, col2im,
+ * ReLU and max-pool forward-with-mask and backward) and the fault-map
+ * application / fused corrupt-and-dequantize kernels the
  * fault-injection staging loop runs — so scalar reference code and
  * SIMD implementations can be exchanged freely.
  *
@@ -76,9 +78,21 @@ class Backend
     virtual std::string_view name() const = 0;
 
     /** C[m,n] (+)= A[m,k] B[k,n], row-major. Per-element accumulation
-     *  is in ascending-k order in every backend (bitwise contract). */
+     *  is in ascending-k order in every backend (bitwise contract);
+     *  products whose A element is zero are skipped. */
     virtual void gemm(const float *a, const float *b, float *c, int m,
                       int k, int n, bool accumulate) const = 0;
+
+    /** C[m,n] (+)= A^T B with A stored [k, m]: the same per-element
+     *  chain as gemm() on the transposed A, zero skip included. */
+    virtual void gemmTransA(const float *a, const float *b, float *c,
+                            int m, int k, int n, bool accumulate) const = 0;
+
+    /** C[m,n] (+)= A B^T with B stored [n, k]. Each element is one dot
+     *  product, accumulated from +0.0 in ascending k without a zero
+     *  skip, then added to C in a single add. */
+    virtual void gemmTransB(const float *a, const float *b, float *c,
+                            int m, int k, int n, bool accumulate) const = 0;
 
     /**
      * One-image convolution: expand `image` ([inCh, h, w]) into
@@ -97,6 +111,15 @@ class Backend
                         std::vector<float> &cols) const = 0;
 
     /**
+     * The adjoint of im2col: add every column entry of `cols`
+     * ([patch, spatial]) into the image position it was copied from,
+     * dx ([inCh, h, w]) += scatter(cols). Each dx element receives its
+     * adds in (c, ki, kj) row order.
+     */
+    virtual void col2im(const float *cols, float *dx,
+                        const ConvGeom &g) const = 0;
+
+    /**
      * 2x2 stride-2 max pooling over NCHW activations (inference path;
      * the training path keeps the layer's argmax bookkeeping). Ties —
      * which only matter bitwise for -0.0 vs +0.0 — resolve to the
@@ -106,9 +129,43 @@ class Backend
     virtual void maxPool2x2(const float *x, float *y, int batch, int c,
                             int h, int w) const = 0;
 
+    /**
+     * Training-path max pool: maxPool2x2's outputs plus, per output,
+     * the window position the reference's strict-`>` scan keeps
+     * (argmax = 2 di + dj, one byte per output).
+     */
+    virtual void maxPool2x2Argmax(const float *x, float *y,
+                                  std::uint8_t *argmax, int batch, int c,
+                                  int h, int w) const = 0;
+
+    /**
+     * Max-pool backward: writes every element of dx ([batch, c, h, w],
+     * h and w even). The kept window position gets +0.0 + dy (the
+     * reference adds into a zeroed dx); the other three get +0.0.
+     */
+    virtual void maxPool2x2Backward(const float *dy,
+                                    const std::uint8_t *argmax, float *dx,
+                                    int batch, int c, int h,
+                                    int w) const = 0;
+
     /** Elementwise y[i] = x[i] > 0 ? x[i] : +0.0f (so -0.0 and NaN
      *  inputs both map to +0.0). In-place (y == x) is allowed. */
     virtual void relu(const float *x, float *y, std::size_t n) const = 0;
+
+    /**
+     * Training-path ReLU: relu() plus its mask, bit i of byte i / 8
+     * (LSB first, (n + 7) / 8 bytes, unused high bits zero) set exactly
+     * when y[i] > 0 — which holds exactly when x[i] > 0, so -0.0 and
+     * NaN inputs are masked off. In-place (y == x) is allowed.
+     */
+    virtual void reluForwardMask(const float *x, float *y,
+                                 std::uint8_t *mask,
+                                 std::size_t n) const = 0;
+
+    /** ReLU backward: dx[i] = mask bit i ? dy[i] : +0.0f. In-place
+     *  (dx == dy) is allowed. */
+    virtual void reluBackward(const float *dy, const std::uint8_t *mask,
+                              float *dx, std::size_t n) const = 0;
 
     /**
      * Corrupt staged 16-bit words through a fault window: bit b of
@@ -162,15 +219,20 @@ std::vector<std::string_view> availableBackends();
 const Backend *findBackend(std::string_view name);
 
 /**
- * Process-wide active backend, used by Dense/Conv2d forward and the
- * fi staging loop. Defaults to "auto". Set-before-threads: call
- * setActiveBackend() only while single-threaded.
+ * Process-wide active backend, used by the Dense/Conv2d/MaxPool2d/Relu
+ * forward and backward passes and the fi staging loop. Defaults to
+ * "auto". Set-before-threads: call setActiveBackend() only while
+ * single-threaded.
  */
 const Backend &activeBackend();
 
 /** Select the active backend; false when the name is unknown or the
  *  backend is unavailable on this machine (active selection kept). */
 bool setActiveBackend(std::string_view name);
+
+/** Widest instruction-set tier "auto" runs on this machine: "avx512",
+ *  "avx2" or "scalar" (provenance for bench artifacts). */
+std::string_view autoIsaTier();
 
 } // namespace vboost::dnn
 

@@ -6,6 +6,9 @@
  * ground truth — keep them boring.
  */
 
+#include <algorithm>
+#include <cstring>
+
 #include "dnn/backend/impl.hpp"
 #include "dnn/tensor.hpp"
 
@@ -24,6 +27,52 @@ class ReferenceBackend final : public Backend
     {
         // The free function in tensor.cpp (i-k-j loop with zero-skip).
         vboost::dnn::gemm(a, b, c, m, k, n, accumulate);
+    }
+
+    void
+    gemmTransA(const float *a, const float *b, float *c, int m, int k,
+               int n, bool accumulate) const override
+    {
+        if (!accumulate)
+            std::memset(c, 0, sizeof(float) * static_cast<std::size_t>(m) *
+                                  static_cast<std::size_t>(n));
+        // C[m,n] = sum_kk A[kk,m]^T B[kk,n]; A row kk is contiguous in m.
+        for (int kk = 0; kk < k; ++kk) {
+            const float *arow = a + static_cast<std::size_t>(kk) * m;
+            const float *brow = b + static_cast<std::size_t>(kk) * n;
+            for (int i = 0; i < m; ++i) {
+                const float aki = arow[i];
+                if (aki == 0.0f)
+                    continue;
+                float *crow = c + static_cast<std::size_t>(i) * n;
+                for (int j = 0; j < n; ++j)
+                    // vblint: assoc-ok(k advances in fixed index order)
+                    crow[j] += aki * brow[j];
+            }
+        }
+    }
+
+    void
+    gemmTransB(const float *a, const float *b, float *c, int m, int k,
+               int n, bool accumulate) const override
+    {
+        if (!accumulate)
+            std::memset(c, 0, sizeof(float) * static_cast<std::size_t>(m) *
+                                  static_cast<std::size_t>(n));
+        // C[i,j] = dot(A row i, B row j): both contiguous in k.
+        for (int i = 0; i < m; ++i) {
+            const float *arow = a + static_cast<std::size_t>(i) * k;
+            float *crow = c + static_cast<std::size_t>(i) * n;
+            for (int j = 0; j < n; ++j) {
+                const float *brow = b + static_cast<std::size_t>(j) * k;
+                float acc = 0.0f;
+                for (int kk = 0; kk < k; ++kk)
+                    // vblint: assoc-ok(dot product in fixed k order)
+                    acc += arow[kk] * brow[kk];
+                // vblint: assoc-ok(single accumulated dot per (i,j) cell)
+                crow[j] += acc;
+            }
+        }
     }
 
     void
@@ -58,6 +107,40 @@ class ReferenceBackend final : public Backend
                                                   static_cast<std::size_t>(
                                                       jj)]
                                            : 0.0f;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    void
+    col2im(const float *cols, float *dx, const ConvGeom &g) const override
+    {
+        const int out_h = g.outH();
+        const int out_w = g.outW();
+        const std::size_t spatial = g.spatial();
+        std::size_t row = 0;
+        for (int c = 0; c < g.inCh; ++c) {
+            float *chan = dx + static_cast<std::size_t>(c) *
+                                   static_cast<std::size_t>(g.h) *
+                                   static_cast<std::size_t>(g.w);
+            for (int ki = 0; ki < g.kernel; ++ki) {
+                for (int kj = 0; kj < g.kernel; ++kj, ++row) {
+                    const float *src = cols + row * spatial;
+                    std::size_t idx = 0;
+                    for (int oi = 0; oi < out_h; ++oi) {
+                        const int ii = oi + ki - g.pad;
+                        for (int oj = 0; oj < out_w; ++oj, ++idx) {
+                            const int jj = oj + kj - g.pad;
+                            if (ii < 0 || ii >= g.h || jj < 0 || jj >= g.w)
+                                continue;
+                            const std::size_t at =
+                                static_cast<std::size_t>(ii) *
+                                    static_cast<std::size_t>(g.w) +
+                                static_cast<std::size_t>(jj);
+                            // vblint: assoc-ok(each dx element adds its rows in fixed (c, ki, kj) order)
+                            chan[at] += src[idx];
                         }
                     }
                 }
@@ -116,10 +199,101 @@ class ReferenceBackend final : public Backend
     }
 
     void
+    maxPool2x2Argmax(const float *x, float *y, std::uint8_t *argmax,
+                     int batch, int c, int h, int w) const override
+    {
+        const int oh = h / 2, ow = w / 2;
+        std::size_t oidx = 0;
+        for (int n = 0; n < batch; ++n) {
+            for (int ch = 0; ch < c; ++ch) {
+                const float *plane =
+                    x + (static_cast<std::size_t>(n) * c + ch) *
+                            static_cast<std::size_t>(h) * w;
+                for (int i = 0; i < oh; ++i) {
+                    for (int j = 0; j < ow; ++j, ++oidx) {
+                        float best = plane[static_cast<std::size_t>(2 * i) *
+                                               w +
+                                           2 * j];
+                        int best_di = 0, best_dj = 0;
+                        for (int di = 0; di < 2; ++di) {
+                            for (int dj = 0; dj < 2; ++dj) {
+                                const float v =
+                                    plane[static_cast<std::size_t>(2 * i +
+                                                                   di) *
+                                              w +
+                                          2 * j + dj];
+                                if (v > best) {
+                                    best = v;
+                                    best_di = di;
+                                    best_dj = dj;
+                                }
+                            }
+                        }
+                        y[oidx] = best;
+                        argmax[oidx] =
+                            static_cast<std::uint8_t>(best_di * 2 + best_dj);
+                    }
+                }
+            }
+        }
+    }
+
+    void
+    maxPool2x2Backward(const float *dy, const std::uint8_t *argmax,
+                       float *dx, int batch, int c, int h,
+                       int w) const override
+    {
+        std::fill(dx, dx + static_cast<std::size_t>(batch) * c * h * w,
+                  0.0f);
+        const int oh = h / 2, ow = w / 2;
+        std::size_t oidx = 0;
+        for (int n = 0; n < batch; ++n) {
+            for (int ch = 0; ch < c; ++ch) {
+                float *plane = dx + (static_cast<std::size_t>(n) * c + ch) *
+                                        static_cast<std::size_t>(h) * w;
+                for (int i = 0; i < oh; ++i) {
+                    for (int j = 0; j < ow; ++j, ++oidx) {
+                        const int di = argmax[oidx] / 2;
+                        const int dj = argmax[oidx] % 2;
+                        const std::size_t at =
+                            static_cast<std::size_t>(2 * i + di) * w + 2 * j +
+                            dj;
+                        // vblint: assoc-ok(one add per dx element: windows do not overlap)
+                        plane[at] += dy[oidx];
+                    }
+                }
+            }
+        }
+    }
+
+    void
     relu(const float *x, float *y, std::size_t n) const override
     {
         for (std::size_t i = 0; i < n; ++i)
             y[i] = x[i] > 0.0f ? x[i] : 0.0f;
+    }
+
+    void
+    reluForwardMask(const float *x, float *y, std::uint8_t *mask,
+                    std::size_t n) const override
+    {
+        std::memset(mask, 0, (n + 7) / 8);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (x[i] > 0.0f) {
+                y[i] = x[i];
+                mask[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+            } else {
+                y[i] = 0.0f;
+            }
+        }
+    }
+
+    void
+    reluBackward(const float *dy, const std::uint8_t *mask, float *dx,
+                 std::size_t n) const override
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            dx[i] = (mask[i / 8] >> (i % 8)) & 1u ? dy[i] : 0.0f;
     }
 
     std::uint64_t

@@ -13,12 +13,22 @@
  *    rather than emulated: adding the skipped +/-0.0 products is an
  *    identity on every accumulator chain seeded from +0.0, because
  *    round-to-nearest never yields -0.0 from a +0.0 start.
+ *    Accumulating calls replay the reference chain for the rare
+ *    accumulator seeded with -0.0 (detail::replayZeroSkipChains), the
+ *    one seed the dropped skip is observable on.
  *  - im2col is pure element copies (memcpy + zero fill), so any
  *    implementation is bitwise-identical.
+ *  - The transposed GEMMs of the backward pass transpose an operand
+ *    (pure moves) and run the same GEMM, so every element keeps its
+ *    ascending-k chain; gemmTransB's dot products are chains from
+ *    +0.0 added into C once, as in the reference.
  *  - MaxPool/ReLU use MAXPS, which returns its second operand on ties
- *    and on NaN — exactly the reference's strict `>` comparisons; the
- *    pool's in-order max tournament picks the same earliest-maximal
- *    element (only observable for -0.0 vs +0.0 ties).
+ *    and on NaN — exactly the reference's strict `>` comparisons, so
+ *    the pool folds each window in the reference's (di, dj) order.
+ *    The training variants make the same compare explicit to record
+ *    the kept position (pool) or the mask bit (ReLU).
+ *  - col2im adds row segments in the reference's (c, ki, kj) row
+ *    order; within one row no two adds hit the same dx element.
  *  - Fault application precomputes bit-packed fault masks
  *    (sram::PackedFaultMap, same counter-based hash, exact integer
  *    arithmetic) and consumes RNG once per faulty cell in ascending
@@ -139,9 +149,6 @@ microScalar(const float *arow, const float *b, float *crow, int kb,
     }
 }
 
-void gemmAvx2(const float *a, const float *b, float *c, int m, int k,
-              int n, bool accumulate);
-
 /** Widest bitwise-safe GEMM this CPU offers: the AVX-512 kernels when
  *  available (two 512-bit FP ports double the no-FMA mul+add
  *  throughput), the AVX2 kernels otherwise. Both keep the exact
@@ -155,11 +162,8 @@ gemmDispatch(const float *a, const float *b, float *c, int m, int k, int n,
         detail::gemmAvx512(a, b, c, m, k, n, accumulate);
         return;
     }
-    gemmAvx2(a, b, c, m, k, n, accumulate);
+    detail::gemmAvx2(a, b, c, m, k, n, accumulate);
 }
-
-void im2colAvx2(const float *image, const ConvGeom &g,
-                std::vector<float> &cols);
 
 /** im2col is pure data movement, so dispatch is free to pick the
  *  fastest expansion: the AVX-512 expand-load path (one load + one
@@ -174,18 +178,13 @@ im2colDispatch(const float *image, const ConvGeom &g,
         detail::im2colAvx512(image, g, cols);
         return;
     }
-    im2colAvx2(image, g, cols);
+    detail::im2colAvx2(image, g, cols);
 }
 
+/** The AVX2 GEMM body: accumulates into C (callers zero it). */
 void
-gemmAvx2(const float *a, const float *b, float *c, int m, int k, int n,
-         bool accumulate)
+gemmAvx2Core(const float *a, const float *b, float *c, int m, int k, int n)
 {
-    if (!accumulate) {
-        std::memset(c, 0,
-                    sizeof(float) * static_cast<std::size_t>(m) *
-                        static_cast<std::size_t>(n));
-    }
     // Cache blocking: column panels of B stay resident while a K
     // block streams through; C tiles re-load their partial sums, so
     // each element still sums products in globally ascending k.
@@ -237,6 +236,25 @@ gemmAvx2(const float *a, const float *b, float *c, int m, int k, int n,
     }
 }
 
+} // namespace
+
+void
+detail::gemmAvx2(const float *a, const float *b, float *c, int m, int k,
+                 int n, bool accumulate)
+{
+    const std::size_t count =
+        static_cast<std::size_t>(m) * static_cast<std::size_t>(n);
+    std::vector<std::size_t> seeds;
+    if (accumulate)
+        seeds = detail::negativeZeroSeeds(c, count);
+    else
+        std::memset(c, 0, sizeof(float) * count);
+    gemmAvx2Core(a, b, c, m, k, n);
+    detail::replayZeroSkipChains(seeds, a, b, c, k, n);
+}
+
+namespace {
+
 // ---------------------------------------------------------- im2col
 
 /** Inline copy/zero for the short runs im2col produces (the 3x3 conv
@@ -263,10 +281,13 @@ zeroFloats(float *dst, int len)
         dst[i] = 0.0f;
 }
 
+} // namespace
+
 /** im2col as row-segment copies: for each (channel, ki, kj) the valid
  *  output columns map to one contiguous input run per output row. */
 void
-im2colAvx2(const float *image, const ConvGeom &g, std::vector<float> &cols)
+detail::im2colAvx2(const float *image, const ConvGeom &g,
+                   std::vector<float> &cols)
 {
     const int out_h = g.outH();
     const int out_w = g.outW();
@@ -306,6 +327,8 @@ im2colAvx2(const float *image, const ConvGeom &g, std::vector<float> &cols)
     }
 }
 
+namespace {
+
 // ------------------------------------------------------------- pool
 
 /** De-interleave two 8-float loads into even and odd columns:
@@ -320,17 +343,33 @@ deinterleave(__m256 a, __m256 b, int which)
         _mm256_permute4x64_pd(_mm256_castps_pd(mixed), 0xD8));
 }
 
+/** One step of the reference's scan, `if (v > best) best = v`, on
+ *  eight windows. With `arg`, also record the window position `pos`
+ *  of every kept candidate. */
+inline void
+keepIfGreater(__m256 &best, __m256i *arg, __m256 v, int pos)
+{
+    if (arg == nullptr) {
+        // MAXPS(v, best) returns v only when v > best (ordered), and
+        // best on ties and NaN: the step itself.
+        best = _mm256_max_ps(v, best);
+        return;
+    }
+    const __m256 gt = _mm256_cmp_ps(v, best, _CMP_GT_OQ);
+    best = _mm256_blendv_ps(best, v, gt);
+    *arg = _mm256_blendv_epi8(*arg, _mm256_set1_epi32(pos),
+                              _mm256_castps_si256(gt));
+}
+
 /**
- * 2x2/stride-2 max pool. MAXPS(a, b) returns b unless a > b, i.e. ties
- * resolve to the second operand — so pairing later elements as the
- * first operand makes every max an exact match for the reference's
- * `v > best` comparisons. The pairing ((e0,e1),(e2,e3)) is an in-order
- * tournament over the reference's (di, dj) visit sequence, which
- * selects the same earliest-maximal element (only observable for
- * -0.0 vs +0.0 ties).
+ * 2x2/stride-2 max pool, folding each window in the reference's
+ * (di, dj) visit order, so the same element wins — -0.0 vs +0.0 ties
+ * and NaN included. `argmax` (one byte per output, 2 di + dj) is the
+ * training variant; nullptr skips it.
  */
 void
-maxPool2x2Avx2(const float *x, float *y, int batch, int c, int h, int w)
+maxPool2x2Avx2(const float *x, float *y, std::uint8_t *argmax, int batch,
+               int c, int h, int w)
 {
     const int oh = h / 2, ow = w / 2;
     std::size_t oidx = 0;
@@ -348,26 +387,283 @@ maxPool2x2Avx2(const float *x, float *y, int batch, int c, int h, int w)
                     const __m256 b0 = _mm256_loadu_ps(r0 + 2 * j + 8);
                     const __m256 a1 = _mm256_loadu_ps(r1 + 2 * j);
                     const __m256 b1 = _mm256_loadu_ps(r1 + 2 * j + 8);
-                    const __m256 m0 = _mm256_max_ps(
-                        deinterleave(a0, b0, 1), deinterleave(a0, b0, 0));
-                    const __m256 m1 = _mm256_max_ps(
-                        deinterleave(a1, b1, 1), deinterleave(a1, b1, 0));
-                    _mm256_storeu_ps(y + oidx, _mm256_max_ps(m1, m0));
+                    __m256 best = deinterleave(a0, b0, 0);
+                    __m256i arg = _mm256_setzero_si256();
+                    __m256i *track = argmax != nullptr ? &arg : nullptr;
+                    keepIfGreater(best, track, deinterleave(a0, b0, 1), 1);
+                    keepIfGreater(best, track, deinterleave(a1, b1, 0), 2);
+                    keepIfGreater(best, track, deinterleave(a1, b1, 1), 3);
+                    _mm256_storeu_ps(y + oidx, best);
+                    if (argmax == nullptr)
+                        continue;
+                    // Narrow the eight 0..3 lanes to bytes.
+                    const __m128i w16 =
+                        _mm_packs_epi32(_mm256_castsi256_si128(arg),
+                                        _mm256_extracti128_si256(arg, 1));
+                    _mm_storel_epi64(
+                        reinterpret_cast<__m128i *>(argmax + oidx),
+                        _mm_packus_epi16(w16, w16));
                 }
                 for (; j < ow; ++j, ++oidx) {
-                    float best = r0[2 * j];
-                    if (r0[2 * j + 1] > best)
-                        best = r0[2 * j + 1];
-                    if (r1[2 * j] > best)
-                        best = r1[2 * j];
-                    if (r1[2 * j + 1] > best)
-                        best = r1[2 * j + 1];
-                    y[oidx] = best;
+                    const float v[4] = {r0[2 * j], r0[2 * j + 1], r1[2 * j],
+                                        r1[2 * j + 1]};
+                    int pos = 0;
+                    for (int q = 1; q < 4; ++q)
+                        if (v[q] > v[pos])
+                            pos = q;
+                    y[oidx] = v[pos];
+                    if (argmax != nullptr)
+                        argmax[oidx] = static_cast<std::uint8_t>(pos);
                 }
             }
         }
     }
 }
+
+/** Max-pool backward: every dx element written once. The kept position
+ *  gets 0.0f + dy, the reference's add onto a zeroed dx (which turns a
+ *  -0.0 gradient into +0.0); the others get +0.0. */
+void
+maxPool2x2BackwardAvx2(const float *dy, const std::uint8_t *argmax,
+                       float *dx, int batch, int c, int h, int w)
+{
+    const int oh = h / 2, ow = w / 2;
+    const std::size_t planes = static_cast<std::size_t>(batch) * c;
+    const __m256 zero = _mm256_setzero_ps();
+    std::size_t oidx = 0;
+    for (std::size_t p = 0; p < planes; ++p) {
+        float *plane = dx + p * static_cast<std::size_t>(h) * w;
+        for (int i = 0; i < oh; ++i) {
+            float *r0 = plane + static_cast<std::size_t>(2 * i) * w;
+            float *r1 = r0 + w;
+            int j = 0;
+            for (; j + 8 <= ow; j += 8, oidx += 8) {
+                const __m256 g =
+                    _mm256_add_ps(zero, _mm256_loadu_ps(dy + oidx));
+                const __m256i arg = _mm256_cvtepu8_epi32(_mm_loadl_epi64(
+                    reinterpret_cast<const __m128i *>(argmax + oidx)));
+                __m256 v[4];
+                for (int q = 0; q < 4; ++q)
+                    v[q] = _mm256_and_ps(
+                        _mm256_castsi256_ps(_mm256_cmpeq_epi32(
+                            arg, _mm256_set1_epi32(q))),
+                        g);
+                // Interleave (dj = 0, dj = 1) pairs back into rows.
+                for (int di = 0; di < 2; ++di) {
+                    const __m256 lo =
+                        _mm256_unpacklo_ps(v[2 * di], v[2 * di + 1]);
+                    const __m256 hi =
+                        _mm256_unpackhi_ps(v[2 * di], v[2 * di + 1]);
+                    float *row = di == 0 ? r0 : r1;
+                    _mm256_storeu_ps(row + 2 * j,
+                                     _mm256_permute2f128_ps(lo, hi, 0x20));
+                    _mm256_storeu_ps(row + 2 * j + 8,
+                                     _mm256_permute2f128_ps(lo, hi, 0x31));
+                }
+            }
+            for (; j < ow; ++j, ++oidx) {
+                const float g = 0.0f + dy[oidx];
+                const int pos = argmax[oidx];
+                r0[2 * j] = pos == 0 ? g : 0.0f;
+                r0[2 * j + 1] = pos == 1 ? g : 0.0f;
+                r1[2 * j] = pos == 2 ? g : 0.0f;
+                r1[2 * j + 1] = pos == 3 ? g : 0.0f;
+            }
+        }
+    }
+}
+
+// ------------------------------------------------------------- relu
+
+/** relu() plus its bit mask: one movemask byte per eight elements. */
+void
+reluForwardMaskAvx2(const float *x, float *y, std::uint8_t *mask,
+                    std::size_t n)
+{
+    const __m256 zero = _mm256_setzero_ps();
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m256 v = _mm256_loadu_ps(x + i);
+        // Ordered x > 0 is false for NaN and both zeros: exactly the
+        // elements MAXPS(x, +0.0) maps to +0.0.
+        mask[i / 8] = static_cast<std::uint8_t>(
+            _mm256_movemask_ps(_mm256_cmp_ps(v, zero, _CMP_GT_OQ)));
+        _mm256_storeu_ps(y + i, _mm256_max_ps(v, zero));
+    }
+    if (i == n)
+        return;
+    mask[i / 8] = 0;
+    for (; i < n; ++i) {
+        const bool pos = x[i] > 0.0f;
+        y[i] = pos ? x[i] : 0.0f;
+        mask[i / 8] |= static_cast<std::uint8_t>(pos ? 1u << (i % 8) : 0u);
+    }
+}
+
+void
+reluBackwardAvx2(const float *dy, const std::uint8_t *mask, float *dx,
+                 std::size_t n)
+{
+    const __m256i lane_bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m256i bits = _mm256_and_si256(
+            _mm256_set1_epi32(mask[i / 8]), lane_bit);
+        const __m256 keep =
+            _mm256_castsi256_ps(_mm256_cmpeq_epi32(bits, lane_bit));
+        _mm256_storeu_ps(dx + i,
+                         _mm256_and_ps(keep, _mm256_loadu_ps(dy + i)));
+    }
+    for (; i < n; ++i)
+        dx[i] = (mask[i / 8] >> (i % 8)) & 1u ? dy[i] : 0.0f;
+}
+
+// ----------------------------------------------------------- col2im
+
+/** col2im as row-segment adds, the mirror of im2colAvx2: within one
+ *  (channel, ki, kj) row every dx element is hit at most once, and
+ *  rows are visited in the reference's order, so each element's adds
+ *  keep their sequence. */
+void
+col2imAvx2(const float *cols, float *dx, const ConvGeom &g)
+{
+    const int out_h = g.outH();
+    const int out_w = g.outW();
+    const std::size_t spatial = g.spatial();
+    std::size_t row = 0;
+    for (int c = 0; c < g.inCh; ++c) {
+        float *chan = dx + static_cast<std::size_t>(c) *
+                               static_cast<std::size_t>(g.h) *
+                               static_cast<std::size_t>(g.w);
+        for (int ki = 0; ki < g.kernel; ++ki) {
+            const int oi_lo = std::max(0, g.pad - ki);
+            const int oi_hi = std::min(out_h, g.h + g.pad - ki);
+            for (int kj = 0; kj < g.kernel; ++kj, ++row) {
+                const int oj_lo = std::max(0, g.pad - kj);
+                const int oj_hi = std::min(out_w, g.w + g.pad - kj);
+                const int len = oj_hi - oj_lo;
+                for (int oi = oi_lo; oi < oi_hi && len > 0; ++oi) {
+                    const float *src =
+                        cols + row * spatial +
+                        static_cast<std::size_t>(oi) * out_w + oj_lo;
+                    float *dst = chan +
+                                 static_cast<std::size_t>(oi + ki - g.pad) *
+                                     static_cast<std::size_t>(g.w) +
+                                 (oj_lo + kj - g.pad);
+                    int q = 0;
+                    for (; q + 8 <= len; q += 8)
+                        _mm256_storeu_ps(
+                            dst + q, _mm256_add_ps(_mm256_loadu_ps(dst + q),
+                                                   _mm256_loadu_ps(src + q)));
+                    for (; q < len; ++q)
+                        dst[q] += src[q]; // vblint: assoc-ok(one add per dx element per row, rows in reference order)
+                }
+            }
+        }
+    }
+}
+
+// -------------------------------------------------------- transpose
+
+/** 8x8 block transpose: dst[j * ld + i] = src[i * ls + j]. */
+inline void
+transpose8x8(const float *src, std::size_t ls, float *dst, std::size_t ld)
+{
+    __m256 r[8], t[8];
+    for (int i = 0; i < 8; ++i)
+        r[i] = _mm256_loadu_ps(src + static_cast<std::size_t>(i) * ls);
+    for (int i = 0; i < 8; i += 2) {
+        t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+        t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+    }
+    for (int i = 0; i < 8; i += 4) {
+        r[i] = _mm256_shuffle_ps(t[i], t[i + 2], _MM_SHUFFLE(1, 0, 1, 0));
+        r[i + 1] =
+            _mm256_shuffle_ps(t[i], t[i + 2], _MM_SHUFFLE(3, 2, 3, 2));
+        r[i + 2] =
+            _mm256_shuffle_ps(t[i + 1], t[i + 3], _MM_SHUFFLE(1, 0, 1, 0));
+        r[i + 3] =
+            _mm256_shuffle_ps(t[i + 1], t[i + 3], _MM_SHUFFLE(3, 2, 3, 2));
+    }
+    for (int i = 0; i < 4; ++i) {
+        _mm256_storeu_ps(dst + static_cast<std::size_t>(i) * ld,
+                         _mm256_permute2f128_ps(r[i], r[i + 4], 0x20));
+        _mm256_storeu_ps(dst + static_cast<std::size_t>(i + 4) * ld,
+                         _mm256_permute2f128_ps(r[i], r[i + 4], 0x31));
+    }
+}
+
+/** dst [cols, rows] = src [rows, cols]^T. Pure moves. */
+void
+transpose(const float *src, int rows, int cols, float *dst)
+{
+    const auto ur = static_cast<std::size_t>(rows);
+    const auto uc = static_cast<std::size_t>(cols);
+    std::size_t i = 0;
+    for (; i + 8 <= ur; i += 8) {
+        std::size_t j = 0;
+        for (; j + 8 <= uc; j += 8)
+            transpose8x8(src + i * uc + j, uc, dst + j * ur + i, ur);
+        for (; j < uc; ++j)
+            for (std::size_t r = i; r < i + 8; ++r)
+                dst[j * ur + r] = src[r * uc + j];
+    }
+    for (; i < ur; ++i)
+        for (std::size_t j = 0; j < uc; ++j)
+            dst[j * ur + i] = src[i * uc + j];
+}
+
+} // namespace
+
+void
+detail::gemmTransAVia(GemmKernel gemm, const float *a, const float *b,
+                      float *c, int m, int k, int n, bool accumulate)
+{
+    // A^T [m, k] row i is the reference's column i of A, read in the
+    // same ascending-k order; C stays the seed of every chain.
+    std::vector<float> at(static_cast<std::size_t>(m) *
+                          static_cast<std::size_t>(k));
+    transpose(a, k, m, at.data());
+    gemm(at.data(), b, c, m, k, n, accumulate);
+}
+
+void
+detail::gemmTransBVia(GemmKernel gemm, const float *a, const float *b,
+                      float *c, int m, int k, int n, bool accumulate)
+{
+    const std::size_t mk = static_cast<std::size_t>(m) * k;
+    const std::size_t nk = static_cast<std::size_t>(n) * k;
+    const std::size_t mn = static_cast<std::size_t>(m) * n;
+    // Either way a GEMM with accumulate=false computes each dot
+    // product as the reference does: a chain from +0.0 over the same
+    // products (a * b == b * a exactly) in ascending k, no zero skip.
+    if (mk + mn < nk) {
+        // Conv weight gradients (A = the output gradient is the small
+        // operand): C^T = B A^T, folded back transposed.
+        std::vector<float> at(mk), ct(mn);
+        transpose(a, m, k, at.data());
+        gemm(b, at.data(), ct.data(), n, k, m, /*accumulate=*/false);
+        for (int i = 0; i < m; ++i) {
+            float *crow = c + static_cast<std::size_t>(i) * n;
+            for (int j = 0; j < n; ++j)
+                crow[j] = (accumulate ? crow[j] : 0.0f) +
+                          ct[static_cast<std::size_t>(j) * m + i];
+        }
+        return;
+    }
+    std::vector<float> bt(nk);
+    transpose(b, n, k, bt.data());
+    if (!accumulate) {
+        gemm(a, bt.data(), c, m, k, n, /*accumulate=*/false);
+        return;
+    }
+    std::vector<float> t(mn);
+    gemm(a, bt.data(), t.data(), m, k, n, /*accumulate=*/false);
+    for (std::size_t e = 0; e < mn; ++e)
+        c[e] += t[e]; // vblint: assoc-ok(single add of one finished dot product per element)
+}
+
+namespace {
 
 // ----------------------------------------------------------- faults
 
@@ -445,10 +741,30 @@ class VectorizedBackend final : public Backend
     }
 
     void
+    gemmTransA(const float *a, const float *b, float *c, int m, int k,
+               int n, bool accumulate) const override
+    {
+        detail::gemmTransAVia(gemmDispatch, a, b, c, m, k, n, accumulate);
+    }
+
+    void
+    gemmTransB(const float *a, const float *b, float *c, int m, int k,
+               int n, bool accumulate) const override
+    {
+        detail::gemmTransBVia(gemmDispatch, a, b, c, m, k, n, accumulate);
+    }
+
+    void
     im2col(const float *image, const ConvGeom &g,
            std::vector<float> &cols) const override
     {
         im2colDispatch(image, g, cols);
+    }
+
+    void
+    col2im(const float *cols, float *dx, const ConvGeom &g) const override
+    {
+        col2imAvx2(cols, dx, g);
     }
 
     void
@@ -477,7 +793,22 @@ class VectorizedBackend final : public Backend
     maxPool2x2(const float *x, float *y, int batch, int c, int h,
                int w) const override
     {
-        maxPool2x2Avx2(x, y, batch, c, h, w);
+        maxPool2x2Avx2(x, y, nullptr, batch, c, h, w);
+    }
+
+    void
+    maxPool2x2Argmax(const float *x, float *y, std::uint8_t *argmax,
+                     int batch, int c, int h, int w) const override
+    {
+        maxPool2x2Avx2(x, y, argmax, batch, c, h, w);
+    }
+
+    void
+    maxPool2x2Backward(const float *dy, const std::uint8_t *argmax,
+                       float *dx, int batch, int c, int h,
+                       int w) const override
+    {
+        maxPool2x2BackwardAvx2(dy, argmax, dx, batch, c, h, w);
     }
 
     void
@@ -492,6 +823,20 @@ class VectorizedBackend final : public Backend
                              _mm256_max_ps(_mm256_loadu_ps(x + i), zero));
         for (; i < n; ++i)
             y[i] = x[i] > 0.0f ? x[i] : 0.0f;
+    }
+
+    void
+    reluForwardMask(const float *x, float *y, std::uint8_t *mask,
+                    std::size_t n) const override
+    {
+        reluForwardMaskAvx2(x, y, mask, n);
+    }
+
+    void
+    reluBackward(const float *dy, const std::uint8_t *mask, float *dx,
+                 std::size_t n) const override
+    {
+        reluBackwardAvx2(dy, mask, dx, n);
     }
 
     std::uint64_t
@@ -583,12 +928,40 @@ vectorizedBackendIfAvailable()
 
 #else // !VBOOST_HAVE_AVX2
 
+#include "common/logging.hpp"
+
 namespace vboost::dnn::detail {
 
 const Backend *
 vectorizedBackendIfAvailable()
 {
     return nullptr;
+}
+
+void
+gemmAvx2(const float *, const float *, float *, int, int, int, bool)
+{
+    fatal("gemmAvx2: called in a build without AVX2 support");
+}
+
+void
+im2colAvx2(const float *, const ConvGeom &, std::vector<float> &)
+{
+    fatal("im2colAvx2: called in a build without AVX2 support");
+}
+
+void
+gemmTransAVia(GemmKernel, const float *, const float *, float *, int, int,
+              int, bool)
+{
+    fatal("gemmTransAVia: called in a build without AVX2 support");
+}
+
+void
+gemmTransBVia(GemmKernel, const float *, const float *, float *, int, int,
+              int, bool)
+{
+    fatal("gemmTransBVia: called in a build without AVX2 support");
 }
 
 } // namespace vboost::dnn::detail

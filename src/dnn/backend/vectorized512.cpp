@@ -274,11 +274,13 @@ void
 gemmAvx512(const float *a, const float *b, float *c, int m, int k, int n,
            bool accumulate)
 {
-    if (!accumulate) {
-        std::memset(c, 0,
-                    sizeof(float) * static_cast<std::size_t>(m) *
-                        static_cast<std::size_t>(n));
-    }
+    const std::size_t count =
+        static_cast<std::size_t>(m) * static_cast<std::size_t>(n);
+    std::vector<std::size_t> seeds; // -0.0 seeds, see replayZeroSkipChains
+    if (accumulate)
+        seeds = negativeZeroSeeds(c, count);
+    else
+        std::memset(c, 0, sizeof(float) * count);
     // Cache blocking as in gemmAvx2: B column panels stay resident
     // while a K block streams through; C tiles re-load their partial
     // sums so each element still sums in globally ascending k.
@@ -331,6 +333,7 @@ gemmAvx512(const float *a, const float *b, float *c, int m, int k, int n,
             }
         }
     }
+    replayZeroSkipChains(seeds, a, b, c, k, n);
 }
 
 } // namespace vboost::dnn::detail

@@ -1,8 +1,6 @@
 #include "dnn/layers.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "common/logging.hpp"
 #include "dnn/backend/backend.hpp"
@@ -56,14 +54,16 @@ Dense::backward(const Tensor &grad_out)
     if (cachedInput_.numel() == 0)
         panic("Dense ", name_, ": backward without cached forward");
     const int batch = grad_out.dim(0);
+    const Backend &backend = activeBackend();
     // dW += x^T g ; db += sum_rows g ; dx = g W^T.
-    gemmTransA(cachedInput_.data(), grad_out.data(), wGrad_.data(), in_,
-               batch, out_, /*accumulate=*/true);
+    backend.gemmTransA(cachedInput_.data(), grad_out.data(), wGrad_.data(),
+                       in_, batch, out_, /*accumulate=*/true);
     for (int i = 0; i < batch; ++i)
         for (int j = 0; j < out_; ++j)
             bGrad_[static_cast<std::size_t>(j)] += grad_out.at(i, j);
-    Tensor dx({batch, in_});
-    gemmTransB(grad_out.data(), w_.data(), dx.data(), batch, out_, in_);
+    Tensor dx = Tensor::uninitialized({batch, in_});
+    backend.gemmTransB(grad_out.data(), w_.data(), dx.data(), batch, out_,
+                       in_, /*accumulate=*/false);
     return dx;
 }
 
@@ -88,48 +88,6 @@ Conv2d::Conv2d(int in_ch, int out_ch, int kernel, int pad, Rng &rng,
 {
     if (in_ch <= 0 || out_ch <= 0 || kernel <= 0 || pad < 0)
         fatal("Conv2d ", name_, ": invalid geometry");
-}
-
-void
-Conv2d::im2col(const Tensor &x, int n, std::vector<float> &cols, int h,
-               int w) const
-{
-    // cols is [inCh*k*k, h*w]; all backends produce bitwise-identical
-    // columns (pure element copies), so forward and backward may run
-    // on different backends without skew.
-    const ConvGeom g{inCh_, outCh_, k_, pad_, h, w};
-    const float *image = x.data() + static_cast<std::size_t>(n) *
-                                        static_cast<std::size_t>(inCh_) *
-                                        static_cast<std::size_t>(h) *
-                                        static_cast<std::size_t>(w);
-    activeBackend().im2col(image, g, cols);
-}
-
-void
-Conv2d::col2im(const std::vector<float> &cols, Tensor &dx, int n, int h,
-               int w) const
-{
-    const int out_h = h + 2 * pad_ - k_ + 1;
-    const int out_w = w + 2 * pad_ - k_ + 1;
-    const std::size_t spatial =
-        static_cast<std::size_t>(out_h) * static_cast<std::size_t>(out_w);
-    std::size_t row = 0;
-    for (int c = 0; c < inCh_; ++c) {
-        for (int ki = 0; ki < k_; ++ki) {
-            for (int kj = 0; kj < k_; ++kj, ++row) {
-                const float *src = cols.data() + row * spatial;
-                std::size_t idx = 0;
-                for (int oi = 0; oi < out_h; ++oi) {
-                    const int ii = oi + ki - pad_;
-                    for (int oj = 0; oj < out_w; ++oj, ++idx) {
-                        const int jj = oj + kj - pad_;
-                        if (ii >= 0 && ii < h && jj >= 0 && jj < w)
-                            dx.at(n, c, ii, jj) += src[idx];
-                    }
-                }
-            }
-        }
-    }
 }
 
 Tensor
@@ -172,21 +130,27 @@ Conv2d::backward(const Tensor &grad_out)
         panic("Conv2d ", name_, ": backward without cached forward");
     const Tensor &x = cachedInput_;
     const int batch = x.dim(0), h = x.dim(2), w = x.dim(3);
-    const int out_h = grad_out.dim(2), out_w = grad_out.dim(3);
-    const int patch = inCh_ * k_ * k_;
-    const std::size_t spatial =
-        static_cast<std::size_t>(out_h) * static_cast<std::size_t>(out_w);
+    const ConvGeom geom{inCh_, outCh_, k_, pad_, h, w};
+    const int patch = geom.patch();
+    const std::size_t spatial = geom.spatial();
+    const std::size_t per_image = static_cast<std::size_t>(inCh_) *
+                                  static_cast<std::size_t>(h) *
+                                  static_cast<std::size_t>(w);
+    const Backend &backend = activeBackend();
 
+    // col2im accumulates, so dx starts at +0.0 like every chain.
     Tensor dx({batch, inCh_, h, w});
-    std::vector<float> cols(static_cast<std::size_t>(patch) * spatial);
+    std::vector<float> cols;
     std::vector<float> dcols(static_cast<std::size_t>(patch) * spatial);
     for (int n = 0; n < batch; ++n) {
         const float *g = grad_out.data() +
             static_cast<std::size_t>(n) * outCh_ * spatial;
         // dW += g [outCh, spatial] * cols^T [spatial, patch].
-        im2col(x, n, cols, h, w);
-        gemmTransB(g, cols.data(), wGrad_.data(), outCh_,
-                   static_cast<int>(spatial), patch, /*accumulate=*/true);
+        backend.im2col(x.data() + static_cast<std::size_t>(n) * per_image,
+                       geom, cols);
+        backend.gemmTransB(g, cols.data(), wGrad_.data(), outCh_,
+                           static_cast<int>(spatial), patch,
+                           /*accumulate=*/true);
         // db += row sums of g.
         for (int oc = 0; oc < outCh_; ++oc) {
             const float *chan = g + static_cast<std::size_t>(oc) * spatial;
@@ -197,9 +161,11 @@ Conv2d::backward(const Tensor &grad_out)
             bGrad_[static_cast<std::size_t>(oc)] += acc;
         }
         // dcols = W^T [patch, outCh] * g [outCh, spatial].
-        gemmTransA(w_.data(), g, dcols.data(), patch, outCh_,
-                   static_cast<int>(spatial));
-        col2im(dcols, dx, n, h, w);
+        backend.gemmTransA(w_.data(), g, dcols.data(), patch, outCh_,
+                           static_cast<int>(spatial), /*accumulate=*/false);
+        backend.col2im(dcols.data(),
+                       dx.data() + static_cast<std::size_t>(n) * per_image,
+                       geom);
     }
     return dx;
 }
@@ -226,66 +192,29 @@ MaxPool2d::forward(const Tensor &x, bool train)
     const int batch = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
     if (h % 2 != 0 || w % 2 != 0)
         fatal("MaxPool2d ", name_, ": odd spatial size ", h, "x", w);
-    const int oh = h / 2, ow = w / 2;
-    // Every output element is written below (backend pool or the
-    // argmax loop), so skip the zero-fill.
-    Tensor y = Tensor::uninitialized({batch, c, oh, ow});
+    // Every output element is written by the backend pool.
+    Tensor y = Tensor::uninitialized({batch, c, h / 2, w / 2});
     if (!train) {
-        // Inference path: no argmax bookkeeping needed, so the pooling
-        // itself goes through the active compute backend (§12).
+        // Inference path: no argmax bookkeeping needed.
         activeBackend().maxPool2x2(x.data(), y.data(), batch, c, h, w);
         return y;
     }
-    argmax_.assign(y.numel(), 0);
+    argmax_.resize(y.numel());
     inShape_ = x.shape();
-    std::size_t oidx = 0;
-    for (int n = 0; n < batch; ++n) {
-        for (int ch = 0; ch < c; ++ch) {
-            for (int i = 0; i < oh; ++i) {
-                for (int j = 0; j < ow; ++j, ++oidx) {
-                    float best = x.at(n, ch, 2 * i, 2 * j);
-                    int best_di = 0, best_dj = 0;
-                    for (int di = 0; di < 2; ++di) {
-                        for (int dj = 0; dj < 2; ++dj) {
-                            const float v =
-                                x.at(n, ch, 2 * i + di, 2 * j + dj);
-                            if (v > best) {
-                                best = v;
-                                best_di = di;
-                                best_dj = dj;
-                            }
-                        }
-                    }
-                    y[oidx] = best;
-                    if (train)
-                        argmax_[oidx] = best_di * 2 + best_dj;
-                }
-            }
-        }
-    }
+    activeBackend().maxPool2x2Argmax(x.data(), y.data(), argmax_.data(),
+                                     batch, c, h, w);
     return y;
 }
 
 Tensor
 MaxPool2d::backward(const Tensor &grad_out)
 {
-    if (inShape_.empty())
-        panic("MaxPool2d ", name_, ": backward without cached forward");
-    Tensor dx(inShape_);
-    const int batch = inShape_[0], c = inShape_[1];
-    const int oh = inShape_[2] / 2, ow = inShape_[3] / 2;
-    std::size_t oidx = 0;
-    for (int n = 0; n < batch; ++n) {
-        for (int ch = 0; ch < c; ++ch) {
-            for (int i = 0; i < oh; ++i) {
-                for (int j = 0; j < ow; ++j, ++oidx) {
-                    const int di = argmax_[oidx] / 2;
-                    const int dj = argmax_[oidx] % 2;
-                    dx.at(n, ch, 2 * i + di, 2 * j + dj) += grad_out[oidx];
-                }
-            }
-        }
-    }
+    if (inShape_.empty() || grad_out.numel() != argmax_.size())
+        panic("MaxPool2d ", name_, ": backward without matching forward");
+    Tensor dx = Tensor::uninitialized(inShape_);
+    activeBackend().maxPool2x2Backward(grad_out.data(), argmax_.data(),
+                                       dx.data(), inShape_[0], inShape_[1],
+                                       inShape_[2], inShape_[3]);
     return dx;
 }
 
@@ -296,34 +225,28 @@ Relu::Relu(std::string layer_name) : name_(std::move(layer_name)) {}
 Tensor
 Relu::forward(const Tensor &x, bool train)
 {
+    Tensor y = Tensor::uninitialized(x.shape());
     if (!train) {
-        // Write straight into the output instead of copy-then-rewrite.
-        Tensor y = Tensor::uninitialized(x.shape());
         activeBackend().relu(x.data(), y.data(), y.numel());
         return y;
     }
-    Tensor y = x;
-    mask_.assign(x.numel(), false);
-    for (std::size_t i = 0; i < y.numel(); ++i) {
-        if (y[i] > 0.0f) {
-            mask_[i] = true;
-        } else {
-            y[i] = 0.0f;
-        }
-    }
+    // The mask is y > 0, which holds exactly when x > 0 (-0.0 and NaN
+    // included), packed to one bit per element.
+    maskCount_ = y.numel();
+    mask_.resize((maskCount_ + 7) / 8);
+    activeBackend().reluForwardMask(x.data(), y.data(), mask_.data(),
+                                    maskCount_);
     return y;
 }
 
 Tensor
 Relu::backward(const Tensor &grad_out)
 {
-    if (mask_.size() != grad_out.numel())
+    if (maskCount_ != grad_out.numel())
         panic("Relu ", name_, ": backward shape mismatch");
-    Tensor dx = grad_out;
-    for (std::size_t i = 0; i < dx.numel(); ++i) {
-        if (!mask_[i])
-            dx[i] = 0.0f;
-    }
+    Tensor dx = Tensor::uninitialized(grad_out.shape());
+    activeBackend().reluBackward(grad_out.data(), mask_.data(), dx.data(),
+                                 maskCount_);
     return dx;
 }
 

@@ -9,6 +9,7 @@
 #ifndef VBOOST_DNN_LAYERS_HPP
 #define VBOOST_DNN_LAYERS_HPP
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -76,13 +77,6 @@ class Conv2d : public Layer
     Tensor &weight() { return w_; }
 
   private:
-    /** Expand input patches into columns: [C*k*k, H*W] per image. */
-    void im2col(const Tensor &x, int n, std::vector<float> &cols,
-                int h, int w) const;
-    /** Scatter column gradients back to an image gradient. */
-    void col2im(const std::vector<float> &cols, Tensor &dx, int n,
-                int h, int w) const;
-
     int inCh_, outCh_, k_, pad_;
     std::string name_;
     Tensor w_;  // [outCh, inCh*k*k]
@@ -104,7 +98,8 @@ class MaxPool2d : public Layer
 
   private:
     std::string name_;
-    std::vector<int> argmax_;
+    /** Kept window position 2 di + dj per output (training only). */
+    std::vector<std::uint8_t> argmax_;
     std::vector<int> inShape_;
 };
 
@@ -121,7 +116,9 @@ class Relu : public Layer
 
   private:
     std::string name_;
-    std::vector<bool> mask_;
+    /** y > 0 bits of the last training forward (Backend mask layout). */
+    std::vector<std::uint8_t> mask_;
+    std::size_t maskCount_ = 0;
 };
 
 /** Collapse NCHW feature maps to [B, C*H*W] rows. */

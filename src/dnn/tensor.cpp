@@ -163,50 +163,4 @@ gemm(const float *a, const float *b, float *c, int m, int k, int n,
     }
 }
 
-void
-gemmTransA(const float *a, const float *b, float *c, int m, int k, int n,
-           bool accumulate)
-{
-    if (!accumulate)
-        std::memset(c, 0, sizeof(float) * static_cast<std::size_t>(m) *
-                              static_cast<std::size_t>(n));
-    // C[m,n] = sum_kk A[kk,m]^T B[kk,n]; A row kk is contiguous in m.
-    for (int kk = 0; kk < k; ++kk) {
-        const float *arow = a + static_cast<std::size_t>(kk) * m;
-        const float *brow = b + static_cast<std::size_t>(kk) * n;
-        for (int i = 0; i < m; ++i) {
-            const float aki = arow[i];
-            if (aki == 0.0f)
-                continue;
-            float *crow = c + static_cast<std::size_t>(i) * n;
-            for (int j = 0; j < n; ++j)
-                // vblint: assoc-ok(k advances in fixed index order)
-                crow[j] += aki * brow[j];
-        }
-    }
-}
-
-void
-gemmTransB(const float *a, const float *b, float *c, int m, int k, int n,
-           bool accumulate)
-{
-    if (!accumulate)
-        std::memset(c, 0, sizeof(float) * static_cast<std::size_t>(m) *
-                              static_cast<std::size_t>(n));
-    // C[i,j] = dot(A row i, B row j): both contiguous in k.
-    for (int i = 0; i < m; ++i) {
-        const float *arow = a + static_cast<std::size_t>(i) * k;
-        float *crow = c + static_cast<std::size_t>(i) * n;
-        for (int j = 0; j < n; ++j) {
-            const float *brow = b + static_cast<std::size_t>(j) * k;
-            float acc = 0.0f;
-            for (int kk = 0; kk < k; ++kk)
-                // vblint: assoc-ok(dot product in fixed k order)
-                acc += arow[kk] * brow[kk];
-            // vblint: assoc-ok(single accumulated dot per (i,j) cell)
-            crow[j] += acc;
-        }
-    }
-}
-
 } // namespace vboost::dnn

@@ -129,14 +129,6 @@ class Tensor
 void gemm(const float *a, const float *b, float *c, int m, int k, int n,
           bool accumulate = false);
 
-/** C = A^T * B with A [k x m], B [k x n], C [m x n]. */
-void gemmTransA(const float *a, const float *b, float *c, int m, int k,
-                int n, bool accumulate = false);
-
-/** C = A * B^T with A [m x k], B [n x k], C [m x n]. */
-void gemmTransB(const float *a, const float *b, float *c, int m, int k,
-                int n, bool accumulate = false);
-
 } // namespace vboost::dnn
 
 #endif // VBOOST_DNN_TENSOR_HPP

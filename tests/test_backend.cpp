@@ -3,11 +3,15 @@
  * Backend equivalence suite (ctest `backend_equivalence`): the §12
  * bitwise contract. Every kernel of the vectorized backend must
  * produce byte-identical results to the scalar reference backend —
- * GEMM across awkward shapes, im2col/conv geometries on and off the
- * SIMD fast paths, pooling and relu on signed zeros and NaNs, the
- * fault kernels' flip patterns AND their RNG consumption order, packed
- * fault-map bits, whole-network logits, and Monte-Carlo experiment
- * digests plus observability fingerprints at 1 vs 8 threads.
+ * GEMM (plain and transposed) across awkward shapes, im2col/col2im and
+ * conv geometries on and off the SIMD fast paths, pooling and relu
+ * (inference and training, masks and argmax included) on signed zeros
+ * and NaNs, the fault kernels' flip patterns AND their RNG consumption
+ * order, packed fault-map bits, whole-network logits and gradients,
+ * trained-weight digests, and Monte-Carlo experiment digests plus
+ * observability fingerprints at 1 vs 8 threads. Kernels with more
+ * than one instruction-set tier are also checked tier by tier, so an
+ * AVX-512 host still covers the AVX2 code.
  */
 
 #include <gtest/gtest.h>
@@ -20,11 +24,15 @@
 #include "common/fixed_point.hpp"
 #include "common/rng.hpp"
 #include "dnn/backend/backend.hpp"
+#include "dnn/backend/impl.hpp"
 #include "dnn/dataset.hpp"
 #include "dnn/layers.hpp"
 #include "dnn/network.hpp"
+#include "dnn/trainer.hpp"
+#include "dnn/zoo.hpp"
 #include "fi/experiment.hpp"
 #include "obs/observability.hpp"
+#include "recovery/recovery.hpp"
 #include "sram/fault_map.hpp"
 #include "sram/packed_fault_map.hpp"
 
@@ -111,6 +119,189 @@ TEST_F(BackendEquivalence, GemmBitwiseAcrossShapes)
     }
 }
 
+// ---------------------------------------------- transposed GEMMs
+
+/** {m, k, n} shapes for the training GEMMs: tails around the 8/16/32
+ *  lane widths, the AlexNet-CIFAR conv shapes {outCh, patch, spatial}
+ *  and the fc6 Dense shape {batch, in, out}, plus the permutations the
+ *  backward pass runs them in (weight gradient m=outCh k=spatial
+ *  n=patch, input gradient m=patch k=outCh n=spatial; Dense m=in k=batch
+ *  n=out and m=batch k=out n=in). */
+const int kTrainShapes[][3] = {
+    {1, 1, 1},      {7, 9, 15},     {8, 16, 32},    {9, 17, 33},
+    {15, 31, 7},    {16, 33, 17},   {31, 8, 65},    {33, 7, 16},
+    {16, 75, 1024}, {24, 400, 256}, {48, 288, 64},  {64, 768, 10},
+    {16, 1024, 75}, {24, 256, 400}, {48, 64, 288},  {75, 16, 1024},
+    {400, 24, 256}, {288, 48, 64},  {768, 64, 10},  {64, 10, 768}};
+
+/** Run `other` against the reference's gemmTransA (`trans_a`) or
+ *  gemmTransB on every training shape, with and without accumulation
+ *  (C seeded with mixed values, -0.0 included). */
+template <typename Kernel>
+void
+expectTransposedGemmMatches(const Backend &ref, bool trans_a,
+                            Kernel other, const char *what)
+{
+    Rng rng(111);
+    for (const auto &s : kTrainShapes) {
+        const int m = s[0], k = s[1], n = s[2];
+        std::vector<float> a(static_cast<std::size_t>(m) * k);
+        std::vector<float> b(static_cast<std::size_t>(k) * n);
+        fillMixed(a, rng);
+        fillMixed(b, rng);
+        for (bool accumulate : {false, true}) {
+            std::vector<float> c0(static_cast<std::size_t>(m) * n);
+            fillMixed(c0, rng);
+            std::vector<float> c1 = c0;
+            if (trans_a)
+                ref.gemmTransA(a.data(), b.data(), c0.data(), m, k, n,
+                               accumulate);
+            else
+                ref.gemmTransB(a.data(), b.data(), c0.data(), m, k, n,
+                               accumulate);
+            other(a.data(), b.data(), c1.data(), m, k, n, accumulate);
+            EXPECT_TRUE(bitsEqual(c0.data(), c1.data(), c0.size()))
+                << what << " m=" << m << " k=" << k << " n=" << n
+                << " accumulate=" << accumulate;
+        }
+    }
+}
+
+TEST_F(BackendEquivalence, GemmTransABitwiseAcrossShapes)
+{
+    const Backend *vec = vec_;
+    expectTransposedGemmMatches(
+        *ref_, true,
+        [vec](const float *a, const float *b, float *c, int m, int k, int n,
+              bool acc) { vec->gemmTransA(a, b, c, m, k, n, acc); },
+        "gemmTransA");
+}
+
+TEST_F(BackendEquivalence, GemmTransBBitwiseAcrossShapes)
+{
+    const Backend *vec = vec_;
+    expectTransposedGemmMatches(
+        *ref_, false,
+        [vec](const float *a, const float *b, float *c, int m, int k, int n,
+              bool acc) { vec->gemmTransB(a, b, c, m, k, n, acc); },
+        "gemmTransB");
+}
+
+/** The GEMM tiers this CPU supports, by name, for direct calls. */
+std::vector<std::pair<const char *, detail::GemmKernel>>
+gemmTiers()
+{
+    std::vector<std::pair<const char *, detail::GemmKernel>> tiers = {
+        {"avx2", detail::gemmAvx2}};
+    if (detail::avx512GemmAvailable())
+        tiers.emplace_back("avx512", detail::gemmAvx512);
+    return tiers;
+}
+
+TEST_F(BackendEquivalence, ZeroSkipOnNegativeZeroSeed)
+{
+    // The reference skips products whose A element is zero. On an
+    // accumulator seeded with -0.0 that is observable: adding the
+    // skipped +0.0 product would give +0.0. Every SIMD path replays
+    // the reference chain there.
+    const int m = 4, k = 3, n = 20;
+    std::vector<float> a(static_cast<std::size_t>(m) * k, 0.0f);
+    std::vector<float> b(static_cast<std::size_t>(k) * n, 1.0f);
+    a[1] = -0.0f;         // row 0: every product skipped
+    a[k + 2] = -2.0f;     // row 1: one product, nonzero
+    a[2 * k] = 1e-30f;    // row 2: a product that underflows to +0.0
+    b[5] = 1e-30f;
+    const std::vector<float> seed(static_cast<std::size_t>(m) * n, -0.0f);
+    std::vector<float> expect = seed;
+    ref_->gemm(a.data(), b.data(), expect.data(), m, k, n, true);
+    EXPECT_TRUE(std::signbit(expect[0])) << "skipped chain must stay -0.0";
+    // A^T stored [k, m] for the transposed variant.
+    std::vector<float> at(a.size());
+    for (int i = 0; i < m; ++i)
+        for (int kk = 0; kk < k; ++kk)
+            at[static_cast<std::size_t>(kk) * m + i] =
+                a[static_cast<std::size_t>(i) * k + kk];
+    std::vector<float> c = seed;
+    ref_->gemmTransA(at.data(), b.data(), c.data(), m, k, n, true);
+    EXPECT_TRUE(bitsEqual(expect.data(), c.data(), c.size()));
+    c = seed;
+    vec_->gemm(a.data(), b.data(), c.data(), m, k, n, true);
+    EXPECT_TRUE(bitsEqual(expect.data(), c.data(), c.size()));
+    c = seed;
+    vec_->gemmTransA(at.data(), b.data(), c.data(), m, k, n, true);
+    EXPECT_TRUE(bitsEqual(expect.data(), c.data(), c.size()));
+    for (const auto &[tier, gemm] : gemmTiers()) {
+        c = seed;
+        gemm(a.data(), b.data(), c.data(), m, k, n, true);
+        EXPECT_TRUE(bitsEqual(expect.data(), c.data(), c.size())) << tier;
+    }
+}
+
+// ------------------------------------------------------ ISA tiers
+
+TEST_F(BackendEquivalence, IsaTiersMatchReference)
+{
+    // The vectorized backend dispatches to its widest tier, so each
+    // tier the CPU supports is called here directly.
+    for (const auto &[tier, gemm] : gemmTiers()) {
+        Rng rng(121);
+        for (const auto &s : kTrainShapes) {
+            const int m = s[0], k = s[1], n = s[2];
+            std::vector<float> a(static_cast<std::size_t>(m) * k);
+            std::vector<float> b(static_cast<std::size_t>(k) * n);
+            fillMixed(a, rng);
+            fillMixed(b, rng);
+            for (bool accumulate : {false, true}) {
+                std::vector<float> c0(static_cast<std::size_t>(m) * n);
+                fillMixed(c0, rng);
+                std::vector<float> c1 = c0;
+                ref_->gemm(a.data(), b.data(), c0.data(), m, k, n,
+                           accumulate);
+                gemm(a.data(), b.data(), c1.data(), m, k, n, accumulate);
+                EXPECT_TRUE(bitsEqual(c0.data(), c1.data(), c0.size()))
+                    << tier << " gemm m=" << m << " k=" << k << " n=" << n
+                    << " accumulate=" << accumulate;
+            }
+        }
+        const detail::GemmKernel tier_gemm = gemm;
+        expectTransposedGemmMatches(
+            *ref_, true,
+            [tier_gemm](const float *a, const float *b, float *c, int m,
+                        int k, int n, bool acc) {
+                detail::gemmTransAVia(tier_gemm, a, b, c, m, k, n, acc);
+            },
+            tier);
+        expectTransposedGemmMatches(
+            *ref_, false,
+            [tier_gemm](const float *a, const float *b, float *c, int m,
+                        int k, int n, bool acc) {
+                detail::gemmTransBVia(tier_gemm, a, b, c, m, k, n, acc);
+            },
+            tier);
+    }
+
+    const ConvGeom geoms[] = {{3, 8, 5, 2, 32, 32}, {16, 8, 5, 2, 16, 16},
+                              {8, 4, 3, 1, 8, 8},   {2, 3, 5, 2, 10, 12},
+                              {4, 4, 3, 1, 7, 9},   {2, 2, 7, 3, 8, 8}};
+    Rng rng(131);
+    for (const auto &g : geoms) {
+        std::vector<float> image(static_cast<std::size_t>(g.inCh) * g.h *
+                                 g.w);
+        fillMixed(image, rng);
+        std::vector<float> cols0, cols1, cols2;
+        ref_->im2col(image.data(), g, cols0);
+        detail::im2colAvx2(image.data(), g, cols1);
+        EXPECT_TRUE(bitsEqual(cols0.data(), cols1.data(), cols0.size()))
+            << "avx2 im2col k=" << g.kernel << " w=" << g.w;
+        if (detail::avx512GemmAvailable()) {
+            detail::im2colAvx512(image.data(), g, cols2);
+            EXPECT_TRUE(
+                bitsEqual(cols0.data(), cols2.data(), cols0.size()))
+                << "avx512 im2col k=" << g.kernel << " w=" << g.w;
+        }
+    }
+}
+
 // --------------------------------------------------- im2col and conv
 
 TEST_F(BackendEquivalence, Im2colAndConvBitwise)
@@ -151,6 +342,32 @@ TEST_F(BackendEquivalence, Im2colAndConvBitwise)
                          out1.data(), g, scratch1);
         EXPECT_TRUE(bitsEqual(out0.data(), out1.data(), out0.size()))
             << "im2colConv k=" << g.kernel << " h=" << g.h
+            << " w=" << g.w;
+    }
+}
+
+TEST_F(BackendEquivalence, Col2imBitwise)
+{
+    // Each dx element sums its patch entries in (c, ki, kj) row order
+    // on top of whatever dx held (mixed values, -0.0 included).
+    const ConvGeom geoms[] = {
+        {3, 8, 5, 2, 32, 32}, {16, 8, 5, 2, 16, 16}, {24, 8, 3, 1, 8, 8},
+        {2, 3, 5, 2, 10, 12}, {4, 4, 3, 1, 7, 9},    {1, 2, 1, 0, 4, 4},
+        {2, 2, 7, 3, 8, 8},   {3, 3, 3, 1, 16, 8},   {2, 2, 3, 0, 11, 19},
+    };
+    Rng rng(212);
+    for (const auto &g : geoms) {
+        std::vector<float> cols(static_cast<std::size_t>(g.patch()) *
+                                g.spatial());
+        std::vector<float> dx0(static_cast<std::size_t>(g.inCh) * g.h *
+                               g.w);
+        fillMixed(cols, rng);
+        fillMixed(dx0, rng);
+        std::vector<float> dx1 = dx0;
+        ref_->col2im(cols.data(), dx0.data(), g);
+        vec_->col2im(cols.data(), dx1.data(), g);
+        EXPECT_TRUE(bitsEqual(dx0.data(), dx1.data(), dx0.size()))
+            << "col2im k=" << g.kernel << " pad=" << g.pad << " h=" << g.h
             << " w=" << g.w;
     }
 }
@@ -201,6 +418,102 @@ TEST_F(BackendEquivalence, ReluSignedZeroAndNaN)
     std::vector<float> z = x;
     vec_->relu(z.data(), z.data(), z.size());
     EXPECT_TRUE(bitsEqual(z.data(), y0.data(), z.size()));
+}
+
+/** Values that probe strict-`>` ties and unordered compares. */
+void
+fillTiesAndNaN(std::vector<float> &v, Rng &rng)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    for (auto &x : v) {
+        switch (rng.uniformInt(10)) {
+        case 0: x = 0.0f; break;
+        case 1: x = -0.0f; break;
+        case 2: x = nan; break;
+        case 3: x = 1.0f; break; // exact ties between nonzero values
+        case 4: x = rng.uniformInt(2) ? inf : -inf; break;
+        case 5: x = 1e-40f; break; // subnormal
+        default: x = static_cast<float>(rng.normal(0.0, 1.0));
+        }
+    }
+}
+
+TEST_F(BackendEquivalence, MaxPoolArgmaxAndBackwardTiesAndNaN)
+{
+    // Output widths below, at and around the 8-lane strips (ow = 1, 4,
+    // 8, 9, 16, 17) on values full of ties, zeros of both signs and
+    // NaN in every window position.
+    const int shapes[][4] = {{2, 3, 2, 2},  {1, 4, 8, 8},   {2, 2, 4, 16},
+                             {1, 3, 6, 18}, {2, 16, 32, 32}, {1, 2, 2, 34}};
+    Rng rng(313);
+    for (const auto &s : shapes) {
+        const int batch = s[0], c = s[1], h = s[2], w = s[3];
+        const std::size_t in = static_cast<std::size_t>(batch) * c * h * w;
+        std::vector<float> x(in);
+        fillTiesAndNaN(x, rng);
+        std::vector<float> y0(in / 4), y1(in / 4), y2(in / 4), y3(in / 4);
+        std::vector<std::uint8_t> arg0(in / 4), arg1(in / 4);
+        ref_->maxPool2x2Argmax(x.data(), y0.data(), arg0.data(), batch, c,
+                               h, w);
+        vec_->maxPool2x2Argmax(x.data(), y1.data(), arg1.data(), batch, c,
+                               h, w);
+        EXPECT_TRUE(bitsEqual(y0.data(), y1.data(), y0.size()))
+            << "pool argmax values w=" << w;
+        EXPECT_EQ(arg0, arg1) << "pool argmax w=" << w;
+        // The inference pool keeps the same elements.
+        ref_->maxPool2x2(x.data(), y2.data(), batch, c, h, w);
+        vec_->maxPool2x2(x.data(), y3.data(), batch, c, h, w);
+        EXPECT_TRUE(bitsEqual(y0.data(), y2.data(), y0.size()));
+        EXPECT_TRUE(bitsEqual(y0.data(), y3.data(), y0.size()))
+            << "inference pool w=" << w;
+
+        std::vector<float> dy(in / 4);
+        fillTiesAndNaN(dy, rng);
+        std::vector<float> dx0(in), dx1(in, 7.0f);
+        ref_->maxPool2x2Backward(dy.data(), arg0.data(), dx0.data(), batch,
+                                 c, h, w);
+        vec_->maxPool2x2Backward(dy.data(), arg0.data(), dx1.data(), batch,
+                                 c, h, w);
+        EXPECT_TRUE(bitsEqual(dx0.data(), dx1.data(), in))
+            << "pool backward w=" << w;
+    }
+}
+
+TEST_F(BackendEquivalence, ReluMaskAndBackwardSignedZeroAndNaN)
+{
+    Rng rng(414);
+    for (std::size_t n : {1u, 7u, 8u, 9u, 15u, 16u, 17u, 100u, 1003u}) {
+        std::vector<float> x(n), dy(n);
+        fillTiesAndNaN(x, rng);
+        fillTiesAndNaN(dy, rng);
+        std::vector<float> y0(n), y1(n), y2(n);
+        std::vector<std::uint8_t> m0((n + 7) / 8), m1((n + 7) / 8, 0xff);
+        ref_->reluForwardMask(x.data(), y0.data(), m0.data(), n);
+        vec_->reluForwardMask(x.data(), y1.data(), m1.data(), n);
+        EXPECT_TRUE(bitsEqual(y0.data(), y1.data(), n)) << "n=" << n;
+        EXPECT_EQ(m0, m1) << "relu mask n=" << n;
+        // Same values as the inference relu, and mask == (y > 0).
+        ref_->relu(x.data(), y2.data(), n);
+        EXPECT_TRUE(bitsEqual(y0.data(), y2.data(), n));
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(((m0[i / 8] >> (i % 8)) & 1u) != 0, y0[i] > 0.0f)
+                << "i=" << i;
+        // In place.
+        std::vector<float> z = x;
+        std::vector<std::uint8_t> mz((n + 7) / 8);
+        vec_->reluForwardMask(z.data(), z.data(), mz.data(), n);
+        EXPECT_TRUE(bitsEqual(z.data(), y0.data(), n));
+        EXPECT_EQ(mz, m0);
+
+        std::vector<float> dx0(n), dx1(n);
+        ref_->reluBackward(dy.data(), m0.data(), dx0.data(), n);
+        vec_->reluBackward(dy.data(), m0.data(), dx1.data(), n);
+        EXPECT_TRUE(bitsEqual(dx0.data(), dx1.data(), n)) << "n=" << n;
+        std::vector<float> dz = dy;
+        vec_->reluBackward(dz.data(), m0.data(), dz.data(), n);
+        EXPECT_TRUE(bitsEqual(dz.data(), dx0.data(), n));
+    }
 }
 
 // ----------------------------------------------------- fault kernels
@@ -396,6 +709,72 @@ TEST_F(BackendEquivalence, NetworkLogitsBitwiseIdentical)
     ASSERT_EQ(ref_logits.numel(), vec_logits.numel());
     EXPECT_TRUE(bitsEqual(ref_logits.data(), vec_logits.data(),
                           ref_logits.numel()));
+}
+
+TEST_F(BackendEquivalence, NetworkGradientsBitwiseIdentical)
+{
+    // One training forward + backward per backend: the input gradient
+    // and every parameter gradient must agree bit for bit.
+    const Dataset ds = tinyImages(12, 34);
+    Tensor dx[2];
+    std::vector<Tensor> grads[2];
+    const char *const names[] = {"reference", "vectorized"};
+    for (int b = 0; b < 2; ++b) {
+        ASSERT_TRUE(setActiveBackend(names[b]));
+        Network net = convNet(33);
+        net.zeroGrads();
+        const Tensor logits = net.forward(ds.images, /*train=*/true);
+        Tensor grad;
+        SoftmaxCrossEntropy().lossAndGrad(logits, ds.labels, grad);
+        dx[b] = net.backward(grad);
+        for (auto &p : net.params())
+            grads[b].push_back(*p.grad);
+    }
+    setActiveBackend("auto");
+    ASSERT_EQ(dx[0].numel(), dx[1].numel());
+    EXPECT_TRUE(bitsEqual(dx[0].data(), dx[1].data(), dx[0].numel()));
+    ASSERT_EQ(grads[0].size(), grads[1].size());
+    for (std::size_t p = 0; p < grads[0].size(); ++p)
+        EXPECT_TRUE(bitsEqual(grads[0][p].data(), grads[1][p].data(),
+                              grads[0][p].numel()))
+            << "param " << p;
+}
+
+TEST_F(BackendEquivalence, SgdEpochDigestsAlexNetAndFcDnn)
+{
+    // One SgdTrainer epoch of each paper network on each backend: the
+    // trained weights and the epoch loss must be bit-identical.
+    struct Case
+    {
+        const char *name;
+        Network (*build)(Rng &);
+        Dataset data;
+    };
+    const Case cases[] = {
+        {"alexnet_cifar", buildAlexNetCifar, makeSyntheticCifar(128, 5)},
+        {"fc_dnn", buildMnistFc, makeSyntheticMnist(256, 6)},
+    };
+    for (const Case &tc : cases) {
+        std::uint64_t digest[2] = {0, 0};
+        double loss[2] = {0.0, 0.0};
+        const char *const names[] = {"reference", "vectorized"};
+        for (int b = 0; b < 2; ++b) {
+            ASSERT_TRUE(setActiveBackend(names[b]));
+            Rng init(71);
+            Network net = tc.build(init);
+            TrainConfig cfg;
+            cfg.epochs = 1;
+            cfg.learningRate = 0.05;
+            Rng rng(72);
+            const auto stats = SgdTrainer(cfg).train(net, tc.data, rng);
+            digest[b] = recovery::weightsDigest(net);
+            loss[b] = stats.back().meanLoss;
+        }
+        setActiveBackend("auto");
+        EXPECT_EQ(digest[0], digest[1]) << tc.name;
+        EXPECT_EQ(std::memcmp(&loss[0], &loss[1], sizeof(double)), 0)
+            << tc.name << ": " << loss[0] << " vs " << loss[1];
+    }
 }
 
 TEST_F(BackendEquivalence, ExperimentDigestAndObsFingerprint)

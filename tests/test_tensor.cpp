@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hpp"
+#include "dnn/backend/backend.hpp"
 #include "dnn/tensor.hpp"
 
 namespace vboost::dnn {
@@ -138,7 +139,8 @@ TEST_P(GemmSizes, TransposedVariantsMatch)
             at[static_cast<std::size_t>(kk) * m + i] =
                 a[static_cast<std::size_t>(i) * k + kk];
     std::vector<float> c1(static_cast<std::size_t>(m) * n);
-    gemmTransA(at.data(), b.data(), c1.data(), m, k, n);
+    referenceBackend().gemmTransA(at.data(), b.data(), c1.data(), m, k, n,
+                                  /*accumulate=*/false);
     for (std::size_t i = 0; i < c1.size(); ++i)
         EXPECT_NEAR(c1[i], ref[i], 1e-4f * k);
 
@@ -149,7 +151,8 @@ TEST_P(GemmSizes, TransposedVariantsMatch)
             bt[static_cast<std::size_t>(j) * k + kk] =
                 b[static_cast<std::size_t>(kk) * n + j];
     std::vector<float> c2(static_cast<std::size_t>(m) * n);
-    gemmTransB(a.data(), bt.data(), c2.data(), m, k, n);
+    referenceBackend().gemmTransB(a.data(), bt.data(), c2.data(), m, k, n,
+                                  /*accumulate=*/false);
     for (std::size_t i = 0; i < c2.size(); ++i)
         EXPECT_NEAR(c2[i], ref[i], 1e-4f * k);
 }

@@ -17,6 +17,11 @@
  *    run is always an error (a silently dropped kernel would make
  *    the gate vacuous).
  *
+ * The optional top-level `provenance` object (backend, ISA tier,
+ * threads, build type, compiler) of each file is printed so a
+ * regression can be read against the machine and build that produced
+ * it; it is never gated on.
+ *
  * Entries are matched by (kernel, backend, threads). Exit status 0
  * when every hard gate passes, 1 otherwise. Usage:
  *
@@ -286,8 +291,34 @@ str(const JsonValue &obj, const char *key)
     return v->text;
 }
 
+/** One line describing a file's provenance stamp, in file order. */
+std::string
+describeProvenance(const JsonValue &doc)
+{
+    const JsonValue *prov = doc.find("provenance");
+    if (prov == nullptr || prov->kind != JsonValue::Kind::Object)
+        return "(not recorded)";
+    std::string out;
+    for (const auto &[key, v] : prov->fields) {
+        std::string text;
+        switch (v.kind) {
+        case JsonValue::Kind::String: text = v.text; break;
+        case JsonValue::Kind::Number: {
+            char buf[32];
+            std::snprintf(buf, sizeof buf, "%g", v.number);
+            text = buf;
+            break;
+        }
+        case JsonValue::Kind::Bool: text = v.boolean ? "true" : "false"; break;
+        default: text = "?";
+        }
+        out += (out.empty() ? "" : " ") + key + "=" + text;
+    }
+    return out;
+}
+
 std::map<EntryKey, Entry>
-loadEntries(const std::string &path)
+loadEntries(const std::string &path, std::string &provenance)
 {
     std::ifstream is(path);
     if (!is) {
@@ -306,6 +337,7 @@ loadEntries(const std::string &path)
                      path.c_str());
         std::exit(2);
     }
+    provenance = describeProvenance(doc);
     const JsonValue *entries = doc.find("entries");
     if (entries == nullptr || entries->kind != JsonValue::Kind::Array) {
         std::fprintf(stderr, "bench_compare: %s: no entries array\n",
@@ -368,8 +400,11 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const auto baseline = loadEntries(baseline_path);
-    const auto current = loadEntries(current_path);
+    std::string baseline_prov, current_prov;
+    const auto baseline = loadEntries(baseline_path, baseline_prov);
+    const auto current = loadEntries(current_path, current_prov);
+    std::printf("baseline provenance: %s\n", baseline_prov.c_str());
+    std::printf("current provenance:  %s\n", current_prov.c_str());
 
     int hard_failures = 0, warnings = 0, checked = 0;
     for (const auto &[key, base] : baseline) {
