@@ -31,6 +31,13 @@
  * "auto" resolves to, threads, build type, compiler) beside the
  * entries; tools/bench_compare prints it and never gates on it.
  *
+ * `fused_corrupt_dequant_clustered` times the fused kernel on the
+ * FC-DNN weight image against a clustered chip map (5.2 laps of the
+ * weight region, so one-lap packing and the stratum-aware packer both
+ * show), per backend with interleaved repeats, and fatals unless the
+ * backends stage the same words. Both entries are soft; the derived
+ * clustered_corrupt_speedup_vec_over_ref ratio is the hard gate.
+ *
  * The resilient read path has two hard-gated entries: `secded_codec`
  * (one SECDED encode plus one decode of a single-bit-error word) and
  * `resilient_corrupt_net` (one FC-DNN weight staging through
@@ -56,6 +63,7 @@
 #include "core/context.hpp"
 #include "dnn/backend/backend.hpp"
 #include "dnn/dataset.hpp"
+#include "dnn/quantize.hpp"
 #include "dnn/tensor.hpp"
 #include "dnn/trainer.hpp"
 #include "dnn/zoo.hpp"
@@ -63,6 +71,7 @@
 #include "fi/experiment.hpp"
 #include "fi/injector.hpp"
 #include "json_writer.hpp"
+#include "recovery/map_aware_trainer.hpp"
 #include "recovery/recovery.hpp"
 #include "resilience/resilient_memory.hpp"
 #include "sram/clean_word_index.hpp"
@@ -375,6 +384,61 @@ trainStepSuite(const bench::BenchOptions &opts,
     }
 }
 
+/**
+ * One fused corrupt-and-dequantize pass of the FC-DNN weight image
+ * (every weight tensor quantized and concatenated: 339,968 words,
+ * 5.2 laps of the 1 Mbit weight region) against the recover
+ * workload's frozen clustered chip map at F = 5e-3, per backend.
+ * Repeats interleave the backends in time, as in trainStepSuite, and
+ * the harness fatals unless every backend stages the same words.
+ */
+void
+clusteredCorruptSuite(const bench::BenchOptions &opts,
+                      const std::vector<const dnn::Backend *> &backends,
+                      std::vector<PerfEntry> &out)
+{
+    Rng init(7);
+    dnn::Network net = dnn::buildMnistFc(init);
+    std::vector<std::int16_t> image;
+    for (const auto &p : net.weightParams()) {
+        const auto q = dnn::quantize(*p.value);
+        image.insert(image.end(), q.words.begin(), q.words.end());
+    }
+    const recovery::MapAwareConfig mcfg;
+    const sram::VulnerabilityMap map(mcfg.chipSeed, mcfg.chipMapIndex,
+                                     sram::MapModel::Clustered,
+                                     mcfg.cluster);
+    const dnn::FaultWindow win{0, fi::MemoryLayout{}.weightRegionBits, 0};
+    const FixedPointCodec codec(12);
+    std::vector<std::int16_t> scratch;
+    std::vector<float> decoded(image.size());
+    std::vector<std::uint64_t> digests(backends.size(), 0);
+    std::vector<double> best_ns(backends.size(),
+                                std::numeric_limits<double>::infinity());
+    for (int r = 0; r < (opts.smoke ? 2 : 3); ++r) {
+        for (std::size_t i = 0; i < backends.size(); ++i) {
+            best_ns[i] = std::min(best_ns[i], minNsPerOp(1, 1, [&] {
+                scratch = image;
+                Rng rng(12);
+                digests[i] = backends[i]->applyFaultMapDequant(
+                    scratch, codec, decoded.data(), map, win, {5e-3, 0.5},
+                    rng);
+            }));
+            for (const std::int16_t w : scratch)
+                digests[i] = digests[i] * 0x100000001b3ull ^
+                             static_cast<std::uint16_t>(w);
+        }
+    }
+    for (std::size_t i = 0; i < backends.size(); ++i) {
+        if (digests[i] != digests.front())
+            fatal("perf harness: backends disagree on the clustered "
+                  "corruption — bitwise contract violated");
+        out.push_back({"fused_corrupt_dequant_clustered",
+                       std::string(backends[i]->name()), "soft",
+                       best_ns[i], image.size() * 16});
+    }
+}
+
 /** One round of the fig14 measurement phase under one backend:
  *  returns wall nanoseconds and appends the sampled accuracies plus
  *  the fault-free accuracy to `digest` for the cross-backend bitwise
@@ -424,6 +488,12 @@ main(int argc, char **argv)
     // other hosts and for noise.
     addSpeedup(entries, "train_step_alexnet",
                "train_step_speedup_vec_over_ref", 3.0);
+    clusteredCorruptSuite(opts, backends, entries);
+    // Measured 19.4x (Release) and 21.1x (RelWithDebInfo, smoke) on a
+    // 4-core AVX-512 host; the floor leaves room for other hosts and
+    // for noise.
+    addSpeedup(entries, "fused_corrupt_dequant_clustered",
+               "clustered_corrupt_speedup_vec_over_ref", 8.0);
 
     // fig14 end-to-end measurement phase: train/load once (untimed),
     // then run the full Monte-Carlo sweep per backend. Repeats

@@ -49,7 +49,6 @@
 #include <cstring>
 #include <immintrin.h>
 
-#include "sram/cell_hash.hpp"
 #include "sram/packed_fault_map.hpp"
 
 namespace vboost::dnn {
@@ -886,13 +885,13 @@ class VectorizedBackend final : public Backend
         const std::uint64_t offset = win.startBit % win.regionBits;
         std::uint64_t mask;
         if (static_cast<std::uint64_t>(nbits) == 64 &&
-            offset + 64 <= win.regionBits &&
-            map.model() == sram::MapModel::Iid &&
-            sram::PackedFaultMap::simdPackingActive()) {
-            mask = sram::packMask64Avx2(
-                map.streamKey(), sram::detail::probThreshold(
-                                     params.failProb),
-                win.regionBase + offset);
+            offset + 64 <= win.regionBits) {
+            // A full data group of consecutive cells: the packer's
+            // stratum-aware mask (zero defect bits on i.i.d. maps).
+            const std::uint64_t cell = win.regionBase + offset;
+            mask = sram::faultMask(
+                map.streamKey(), map.stratumThresholds(params.failProb),
+                sram::DefectCursor(map, cell, 64).next(64), cell, 64);
         } else {
             mask = 0;
             for (int b = 0; b < nbits; ++b) {

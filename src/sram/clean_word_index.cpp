@@ -8,7 +8,6 @@
 namespace vboost::sram {
 
 using detail::cellHash;
-using detail::probThreshold;
 
 CleanWordIndex::CleanWordIndex(const VulnerabilityMap &map,
                                const BankedMemory &mem,
@@ -20,20 +19,23 @@ CleanWordIndex::CleanWordIndex(const VulnerabilityMap &map,
     const std::size_t per_word = clustered ? 2 : 1;
     minHash_.assign(words_ * per_word, ~0ull);
     const std::uint64_t key = map.streamKey();
+    // Every column's defect bit, hashed once; the cursor hashes each
+    // row once per seek. Iid maps get all-zero masks: one stratum.
+    DefectCursor defects(map);
     for (std::uint32_t w = 0; w < words_; ++w) {
         std::uint64_t *mins = &minHash_[w * per_word];
-        auto visit = [&](std::uint64_t cell) {
-            const std::uint64_t h = cellHash(key, cell);
-            std::uint64_t &m =
-                clustered && !map.inDefectCluster(cell) ? mins[1] : mins[0];
-            m = std::min(m, h);
+        auto visit = [&](std::uint64_t first, unsigned n) {
+            defects.seek(first);
+            const std::uint64_t defect = defects.next(n);
+            for (unsigned b = 0; b < n; ++b) {
+                const std::uint64_t h = cellHash(key, first + b);
+                std::uint64_t &m =
+                    clustered && !((defect >> b) & 1u) ? mins[1] : mins[0];
+                m = std::min(m, h);
+            }
         };
-        const std::uint64_t data = mem.cellIndex(w);
-        for (std::uint64_t b = 0; b < 64; ++b)
-            visit(data + b);
-        const std::uint64_t check = check_base + 8ull * w;
-        for (std::uint64_t b = 0; b < 8; ++b)
-            visit(check + b);
+        visit(mem.cellIndex(w), 64);
+        visit(check_base + 8ull * w, 8);
     }
 }
 
@@ -45,17 +47,12 @@ CleanWordIndex::clean(std::uint32_t word, double fail_prob) const
               ")");
     if (fail_prob >= 1.0)
         return false;
+    // isFaulty()'s thresholds: one stratum under Iid, so thr.lo alone.
+    const StratumThresholds thr = map_.stratumThresholds(fail_prob);
     if (map_.model() != MapModel::Clustered)
-        return minHash_[word] >= probThreshold(fail_prob);
-    // isFaulty() uses the raw fail_prob (threshold 0) at or below 0
-    // and the stratum probabilities strictly between 0 and 1.
-    if (fail_prob <= 0.0)
-        return true;
-    double hi = 0.0;
-    double lo = 0.0;
-    map_.stratumProbs(fail_prob, hi, lo);
+        return minHash_[word] >= thr.lo;
     const std::uint64_t *mins = &minHash_[2 * static_cast<std::size_t>(word)];
-    return mins[0] >= probThreshold(hi) && mins[1] >= probThreshold(lo);
+    return mins[0] >= thr.hi && mins[1] >= thr.lo;
 }
 
 void

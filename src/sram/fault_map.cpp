@@ -17,6 +17,11 @@ ClusterParams::validate() const
 {
     if (rowCells == 0)
         fatal("ClusterParams: rowCells must be positive");
+    // DefectCursor keeps a rowCells-bit column bitmap; no SRAM row
+    // comes near this many cells.
+    if (rowCells > kMaxRowCells)
+        fatal("ClusterParams: rowCells must be at most ", kMaxRowCells,
+              ", got ", rowCells);
     if (rowDefectProb < 0.0 || rowDefectProb > 1.0 ||
         colDefectProb < 0.0 || colDefectProb > 1.0) {
         fatal("ClusterParams: defect probabilities must be in [0,1]");
@@ -50,6 +55,8 @@ VulnerabilityMap::VulnerabilityMap(std::uint64_t seed,
         // not alias the per-cell draws (which use streamKey_ itself).
         rowKey_ = mix64(streamKey_ ^ 0x60bee2bee120fc15ull);
         colKey_ = mix64(streamKey_ ^ 0xa3aac0aac0330ca3ull);
+        rowThr_ = probThreshold(cluster_.rowDefectProb);
+        colThr_ = probThreshold(cluster_.colDefectProb);
     }
 }
 
@@ -60,15 +67,25 @@ VulnerabilityMap::cellUniform(std::uint64_t cell) const
 }
 
 bool
+VulnerabilityMap::rowDefective(std::uint64_t row) const
+{
+    // rowThr_ is 0 under Iid, so no row is defective there.
+    return cellHash(rowKey_, row) < rowThr_;
+}
+
+bool
+VulnerabilityMap::colDefective(std::uint64_t col) const
+{
+    return cellHash(colKey_, col) < colThr_;
+}
+
+bool
 VulnerabilityMap::inDefectCluster(std::uint64_t cell) const
 {
     if (model_ != MapModel::Clustered)
         return false;
-    const std::uint64_t row = cell / cluster_.rowCells;
-    const std::uint64_t col = cell % cluster_.rowCells;
-    return cellHash(rowKey_, row) <
-               probThreshold(cluster_.rowDefectProb) ||
-           cellHash(colKey_, col) < probThreshold(cluster_.colDefectProb);
+    return rowDefective(cell / cluster_.rowCells) ||
+           colDefective(cell % cluster_.rowCells);
 }
 
 void
@@ -90,6 +107,20 @@ VulnerabilityMap::stratumProbs(double fail_prob, double &hi,
     }
 }
 
+StratumThresholds
+VulnerabilityMap::stratumThresholds(double fail_prob) const
+{
+    if (model_ != MapModel::Clustered || fail_prob <= 0.0 ||
+        fail_prob >= 1.0) {
+        const std::uint64_t thr = probThreshold(fail_prob);
+        return {thr, thr};
+    }
+    double hi = 0.0;
+    double lo = 0.0;
+    stratumProbs(fail_prob, hi, lo);
+    return {probThreshold(hi), probThreshold(lo)};
+}
+
 double
 VulnerabilityMap::effectiveFailProb(std::uint64_t cell,
                                     double fail_prob) const
@@ -108,8 +139,10 @@ bool
 VulnerabilityMap::isFaulty(std::uint64_t cell, double fail_prob) const
 {
     if (model_ == MapModel::Clustered) {
+        const StratumThresholds thr = stratumThresholds(fail_prob);
         return cellHash(streamKey_, cell) <
-               probThreshold(effectiveFailProb(cell, fail_prob));
+               (thr.hi != thr.lo && inDefectCluster(cell) ? thr.hi
+                                                          : thr.lo);
     }
     return cellHash(streamKey_, cell) < probThreshold(fail_prob);
 }
@@ -174,6 +207,70 @@ VulnerabilityMap::minUniform(std::uint64_t num_cells) const
     for (std::uint64_t c = 0; c < num_cells; ++c)
         min_hash = std::min(min_hash, cellHash(streamKey_, c));
     return (min_hash >> 11) * 0x1.0p-53;
+}
+
+DefectCursor::DefectCursor(const VulnerabilityMap &map,
+                           std::uint64_t first_cell,
+                           std::uint64_t num_cells)
+    : map_(&map)
+{
+    if (map.model() != MapModel::Clustered)
+        return;
+    rowCells_ = map.cluster().rowCells;
+    colBits_.assign(rowCells_ / 64 + 2, 0);
+    const std::uint64_t cols = std::min(num_cells, rowCells_);
+    std::uint64_t col = first_cell % rowCells_;
+    for (std::uint64_t i = 0; i < cols; ++i) {
+        if (map.colDefective(col))
+            colBits_[col >> 6] |= 1ull << (col & 63);
+        if (++col == rowCells_)
+            col = 0;
+    }
+    seek(first_cell);
+}
+
+void
+DefectCursor::seek(std::uint64_t cell)
+{
+    if (rowCells_ == 0)
+        return;
+    row_ = cell / rowCells_;
+    col_ = cell % rowCells_;
+    rowDefect_ = map_->rowDefective(row_);
+}
+
+std::uint64_t
+DefectCursor::next(unsigned n)
+{
+    if (rowCells_ == 0)
+        return 0;
+    std::uint64_t defect = 0;
+    unsigned done = 0;
+    while (done < n) {
+        // One segment per row the n cells touch: the whole segment
+        // when the row is defective, else its column bits.
+        const unsigned seg = static_cast<unsigned>(
+            std::min<std::uint64_t>(n - done, rowCells_ - col_));
+        const std::uint64_t low =
+            seg == 64 ? ~0ull : (1ull << seg) - 1;
+        std::uint64_t bits = low;
+        if (!rowDefect_) {
+            const std::uint64_t w = col_ >> 6;
+            const unsigned shift = static_cast<unsigned>(col_ & 63);
+            bits = colBits_[w] >> shift;
+            if (shift != 0)
+                bits |= colBits_[w + 1] << (64 - shift);
+            bits &= low;
+        }
+        defect |= bits << done;
+        done += seg;
+        col_ += seg;
+        if (col_ == rowCells_) {
+            col_ = 0;
+            rowDefect_ = map_->rowDefective(++row_);
+        }
+    }
+    return defect;
 }
 
 std::uint64_t

@@ -48,6 +48,8 @@ struct ClusterParams
      *  72-bit-codeword rows so same-row clustering lines up with
      *  spare-row quarantine granularity. */
     std::uint64_t rowCells = 576;
+    /** Upper bound on rowCells (validate() rejects larger rows). */
+    static constexpr std::uint64_t kMaxRowCells = 1ull << 20;
     /** Fraction of rows that are defective. */
     double rowDefectProb = 0.05;
     /** Fraction of columns that are defective. */
@@ -67,6 +69,18 @@ struct ClusterParams
         return rowDefectProb + colDefectProb -
                rowDefectProb * colDefectProb;
     }
+};
+
+/**
+ * Per-cell hash thresholds of the two strata at one fail probability:
+ * a cell is faulty iff its hash is below `hi` inside a defect cluster
+ * and below `lo` outside one. The two are equal under MapModel::Iid
+ * and whenever fail_prob is outside (0, 1).
+ */
+struct StratumThresholds
+{
+    std::uint64_t hi = 0;
+    std::uint64_t lo = 0;
 };
 
 /**
@@ -102,8 +116,16 @@ class VulnerabilityMap
     const ClusterParams &cluster() const { return cluster_; }
 
     /** Is the cell inside a defective row or column? Always false
-     *  under MapModel::Iid. */
+     *  under MapModel::Iid. Defined as rowDefective(cell / rowCells)
+     *  || colDefective(cell % rowCells). */
     bool inDefectCluster(std::uint64_t cell) const;
+
+    /** Is wordline row `row` defective? Always false under Iid. */
+    bool rowDefective(std::uint64_t row) const;
+
+    /** Is bitline column `col` (< rowCells) defective? Always false
+     *  under Iid. */
+    bool colDefective(std::uint64_t col) const;
 
     /**
      * Effective per-cell fail probability at aggregate probability
@@ -144,9 +166,15 @@ class VulnerabilityMap
      * cells inside a defect cluster, `lo` for the rest, calibrated so
      * cov*hi + (1-cov)*lo == fail_prob. isFaulty() compares a cell's
      * hash against probThreshold() of its stratum's value whenever
-     * 0 < fail_prob < 1; CleanWordIndex compares against the same.
+     * 0 < fail_prob < 1 (stratumThresholds()).
      */
     void stratumProbs(double fail_prob, double &hi, double &lo) const;
+
+    /** The hash thresholds isFaulty() compares against at `fail_prob`:
+     *  probThreshold() of the stratum probabilities under Clustered
+     *  with 0 < fail_prob < 1, of fail_prob itself otherwise.
+     *  PackedFaultMap and CleanWordIndex compare against the same. */
+    StratumThresholds stratumThresholds(double fail_prob) const;
 
   private:
     /** Counter-based hash of the cell id to a uniform in [0,1). */
@@ -159,6 +187,48 @@ class VulnerabilityMap
     ClusterParams cluster_;
     std::uint64_t rowKey_ = 0; // defect stream for row ids
     std::uint64_t colKey_ = 0; // defect stream for column ids
+    std::uint64_t rowThr_ = 0; // probThreshold(rowDefectProb)
+    std::uint64_t colThr_ = 0; // probThreshold(colDefectProb)
+};
+
+/**
+ * Defect-cluster membership of consecutive cells, up to 64 at a time,
+ * without a divide or a column hash per cell. The constructor hashes
+ * each bitline column the covered cells touch once into a bitmap
+ * (at most rowCells hashes); the cursor then tracks its row and
+ * column incrementally and hashes each row once as it enters it.
+ * Bit for bit the same answers as inDefectCluster(), from the same
+ * rowDefective()/colDefective() draws. Under MapModel::Iid it
+ * allocates nothing and every mask is zero.
+ */
+class DefectCursor
+{
+  public:
+    /**
+     * @param map vulnerability map whose defect structure is walked.
+     * @param first_cell first covered cell; the cursor starts here.
+     * @param num_cells covered cells; the default covers every column.
+     */
+    DefectCursor(const VulnerabilityMap &map, std::uint64_t first_cell = 0,
+                 std::uint64_t num_cells = ~0ull);
+
+    /** Move the cursor to `cell`, whose column must be covered. */
+    void seek(std::uint64_t cell);
+
+    /** Membership bits of the next n cells, n in [1, 64] (bit b is
+     *  cell + b); advances the cursor by n. */
+    std::uint64_t next(unsigned n);
+
+  private:
+    const VulnerabilityMap *map_;
+    /** Cells per row; 0 under Iid (no defect structure). */
+    std::uint64_t rowCells_ = 0;
+    std::uint64_t row_ = 0;
+    std::uint64_t col_ = 0;
+    bool rowDefect_ = false;
+    /** Bit c is colDefective(c) for every covered column c, padded by
+     *  one word so a 64-bit read never runs off the end. */
+    std::vector<std::uint64_t> colBits_;
 };
 
 /** Read-manifestation parameters for fault injection. */

@@ -1,5 +1,6 @@
 #include "sram/packed_fault_map.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/logging.hpp"
@@ -21,12 +22,6 @@ avx2Available()
 }
 
 } // namespace
-
-bool
-PackedFaultMap::simdPackingActive()
-{
-    return avx2Available();
-}
 
 PackedFaultMap::PackedFaultMap(const VulnerabilityMap &map,
                                std::uint64_t region_base,
@@ -54,79 +49,61 @@ PackedFaultMap::pack(const VulnerabilityMap &map, std::uint64_t region_base,
                      std::uint64_t region_bits, std::uint64_t start_bit,
                      double fail_prob)
 {
-    const std::uint64_t key = map.streamKey();
-    const std::uint64_t thr = detail::probThreshold(fail_prob);
-    if (thr == 0)
+    const StratumThresholds thr = map.stratumThresholds(fail_prob);
+    if (thr.hi == 0 && thr.lo == 0)
         return; // no cell can be faulty; leave all bits clear
-    // Split the wrapped visit sequence into contiguous cell runs so
-    // packing can walk consecutive cells (which the SIMD kernel
-    // exploits with an incremental counter).
+    // Hash the first lap only, split into at most two contiguous cell
+    // runs (the SIMD kernel walks consecutive cells with an
+    // incremental counter).
+    const std::uint64_t lap = std::min(numBits_, region_bits);
     std::uint64_t j = 0;
     std::uint64_t offset = start_bit % region_bits;
-    while (j < numBits_) {
-        const std::uint64_t run =
-            std::min(numBits_ - j, region_bits - offset);
-        if (map.model() == MapModel::Iid) {
-            packRun(key, thr, region_base + offset, run, j);
-        } else {
-            // Clustered maps mix per-stratum thresholds into the
-            // per-cell decision; the raw hash-vs-threshold kernel
-            // would silently reproduce the i.i.d. pattern. Go through
-            // isFaulty() so packed bits stay bitwise-identical to the
-            // scalar query path by construction.
-            packClusteredRun(map, fail_prob, region_base + offset, run, j);
-        }
+    while (j < lap) {
+        const std::uint64_t run = std::min(lap - j, region_bits - offset);
+        packRun(map, thr, region_base + offset, run, j);
         j += run;
-        offset = 0; // every later run restarts at the region base
+        offset = 0; // the second run restarts at the region base
+    }
+    // Visit j revisits visit j - region_bits's cell: copy the packed
+    // bits forward a lap, at most region_bits at a time so the source
+    // is always complete before it is read.
+    while (j < numBits_) {
+        const unsigned n = static_cast<unsigned>(std::min<std::uint64_t>(
+            {64, region_bits, numBits_ - j}));
+        deposit(mask(j - region_bits, n), j, n);
+        j += n;
     }
 }
 
 void
-PackedFaultMap::packClusteredRun(const VulnerabilityMap &map,
-                                 double fail_prob, std::uint64_t cell,
-                                 std::uint64_t count,
-                                 std::uint64_t bit_offset)
-{
-    std::uint64_t done = 0;
-    while (done < count) {
-        const unsigned chunk =
-            static_cast<unsigned>(std::min<std::uint64_t>(64, count - done));
-        std::uint64_t m = 0;
-        for (unsigned b = 0; b < chunk; ++b) {
-            if (map.isFaulty(cell + done + b, fail_prob))
-                m |= 1ull << b;
-        }
-        deposit(m, bit_offset + done, chunk);
-        done += chunk;
-    }
-}
-
-void
-PackedFaultMap::packRun(std::uint64_t stream_key, std::uint64_t threshold,
+PackedFaultMap::packRun(const VulnerabilityMap &map, StratumThresholds thr,
                         std::uint64_t cell, std::uint64_t count,
                         std::uint64_t bit_offset)
 {
-    std::uint64_t done = 0;
-    if (avx2Available()) {
-        while (count - done >= 64) {
-            const std::uint64_t m =
-                packMask64Avx2(stream_key, threshold, cell + done);
-            deposit(m, bit_offset + done, 64);
-            done += 64;
-        }
-    }
-    // Scalar path: also covers the sub-64-cell tail of the SIMD path.
-    while (done < count) {
+    DefectCursor defects(map, cell, count);
+    const std::uint64_t key = map.streamKey();
+    for (std::uint64_t done = 0; done < count;) {
         const unsigned chunk =
             static_cast<unsigned>(std::min<std::uint64_t>(64, count - done));
-        std::uint64_t m = 0;
-        for (unsigned b = 0; b < chunk; ++b) {
-            if (detail::cellHash(stream_key, cell + done + b) < threshold)
-                m |= 1ull << b;
-        }
-        deposit(m, bit_offset + done, chunk);
+        deposit(faultMask(key, thr, defects.next(chunk), cell + done, chunk),
+                bit_offset + done, chunk);
         done += chunk;
     }
+}
+
+std::uint64_t
+faultMask(std::uint64_t stream_key, StratumThresholds thr,
+          std::uint64_t defect, std::uint64_t cell, unsigned n)
+{
+    if (n == 64 && avx2Available())
+        return packMask64Avx2(stream_key, thr.hi, thr.lo, defect, cell);
+    std::uint64_t m = 0;
+    for (unsigned b = 0; b < n; ++b) {
+        const std::uint64_t t = (defect >> b) & 1u ? thr.hi : thr.lo;
+        if (detail::cellHash(stream_key, cell + b) < t)
+            m |= 1ull << b;
+    }
+    return m;
 }
 
 void

@@ -11,11 +11,18 @@
  *     region_base + (start_bit + j) mod region_bits,
  *
  * exactly the order `fi`'s staging visits cells. Packing hashes each
- * visited cell once (the same counter-based hash VulnerabilityMap
- * uses, so packed bits are bitwise-identical to per-cell isFaulty()
- * answers by construction); application then reduces to mask
- * extraction, so entire fault-free words are skipped with one compare
- * instead of 16-64 hash-and-threshold draws.
+ * cell of the first lap once (the same counter-based hash
+ * VulnerabilityMap uses, against the threshold of the cell's stratum,
+ * so packed bits are bitwise-identical to per-cell isFaulty() answers
+ * by construction); visit j + region_bits is the same cell as visit j,
+ * so later laps are bit-shifted copies of the first. Application then
+ * reduces to mask extraction, so entire fault-free words are skipped
+ * with one compare instead of 16-64 hash-and-threshold draws.
+ *
+ * Clustered maps take the same path: a DefectCursor supplies each
+ * 64-cell chunk's defect-cluster mask, and the kernel keeps
+ * (below-hi & defect) | (below-lo & ~defect). I.i.d. maps are the
+ * special case defect = 0, hi = lo.
  */
 
 #ifndef VBOOST_SRAM_PACKED_FAULT_MAP_HPP
@@ -76,24 +83,15 @@ class PackedFaultMap
     /** Packed words; bit b of word w is visit 64*w + b. */
     const std::vector<std::uint64_t> &words() const { return words_; }
 
-    /** True when packing ran on the AVX2 hash path (diagnostics; the
-     *  packed bits are bitwise-identical either way). */
-    static bool simdPackingActive();
-
   private:
     void pack(const VulnerabilityMap &map, std::uint64_t region_base,
               std::uint64_t region_bits, std::uint64_t start_bit,
               double fail_prob);
     /** OR `count` fault bits for cells [cell, cell+count) into the
      *  packed words at sequence position `bit_offset`. */
-    void packRun(std::uint64_t stream_key, std::uint64_t threshold,
+    void packRun(const VulnerabilityMap &map, StratumThresholds thr,
                  std::uint64_t cell, std::uint64_t count,
                  std::uint64_t bit_offset);
-    /** Scalar run packer for clustered maps: per-cell isFaulty(), so
-     *  stratum thresholds are honored (no raw-hash shortcut). */
-    void packClusteredRun(const VulnerabilityMap &map, double fail_prob,
-                          std::uint64_t cell, std::uint64_t count,
-                          std::uint64_t bit_offset);
     void deposit(std::uint64_t bits, std::uint64_t bit_offset,
                  unsigned nbits);
 
@@ -102,13 +100,27 @@ class PackedFaultMap
 };
 
 /**
- * AVX2 packing kernel (packed_fault_map_simd.cpp): fault mask for the
- * 64 consecutive cells [cell, cell+64). Bitwise-identical to 64 scalar
- * cellHash-vs-threshold compares — the hash is exact integer
- * arithmetic either way. Only callable when simdPackingActive().
+ * Fault mask of the n consecutive cells [cell, cell+n), n in [1, 64]:
+ * bit b is set iff cellHash(stream_key, cell + b) is below thr.hi
+ * when defect bit b is set and below thr.lo otherwise — isFaulty()'s
+ * decision, given the cells' defect-cluster bits. Runs the AVX2
+ * kernel for full 64-cell chunks when available; bitwise-identical
+ * either way.
+ */
+std::uint64_t faultMask(std::uint64_t stream_key, StratumThresholds thr,
+                        std::uint64_t defect, std::uint64_t cell,
+                        unsigned n);
+
+/**
+ * AVX2 packing kernel (packed_fault_map_simd.cpp): faultMask() for
+ * the 64 consecutive cells [cell, cell+64). Bitwise-identical to 64
+ * scalar cellHash-vs-threshold compares — the hash is exact integer
+ * arithmetic either way. Only callable on AVX2 hardware; faultMask()
+ * checks the CPU before it calls the kernel.
  */
 std::uint64_t packMask64Avx2(std::uint64_t stream_key,
-                             std::uint64_t threshold, std::uint64_t cell);
+                             std::uint64_t thr_hi, std::uint64_t thr_lo,
+                             std::uint64_t defect, std::uint64_t cell);
 
 } // namespace vboost::sram
 

@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/fixed_point.hpp"
@@ -518,9 +519,32 @@ TEST_F(BackendEquivalence, ReluMaskAndBackwardSignedZeroAndNaN)
 
 // ----------------------------------------------------- fault kernels
 
+/** Clustered (MoRS-lite) map with `row_cells` cells per row. */
+sram::VulnerabilityMap
+clusteredMap(std::uint64_t seed, std::uint64_t index,
+             std::uint64_t row_cells, double row_prob = 0.05,
+             double col_prob = 0.02)
+{
+    sram::ClusterParams p;
+    p.rowCells = row_cells;
+    p.rowDefectProb = row_prob;
+    p.colDefectProb = col_prob;
+    return sram::VulnerabilityMap(seed, index, sram::MapModel::Clustered,
+                                  p);
+}
+
+/** The fault kernels' maps: the i.i.d. one each test always used,
+ *  then clustered maps whose rows are and are not 64-cell aligned. */
+std::vector<sram::VulnerabilityMap>
+faultKernelMaps(std::uint64_t seed, std::uint64_t index)
+{
+    return {sram::VulnerabilityMap(seed, index),
+            clusteredMap(seed, index, 576), clusteredMap(seed, index, 100),
+            clusteredMap(seed, index, 37, 0.1, 0.05)};
+}
+
 TEST_F(BackendEquivalence, FaultMapWordsFlipsAndRngOrder)
 {
-    const sram::VulnerabilityMap map(7, 3);
     const std::size_t kWords = 700; // not a multiple of 4 or 64
     const struct
     {
@@ -531,89 +555,163 @@ TEST_F(BackendEquivalence, FaultMapWordsFlipsAndRngOrder)
         {{256, kWords * 16, 4096}, 0.05},
         // Wrapping walk: region smaller than the staged buffer.
         {{0, 4096, 4000}, 0.02},
+        // Several laps of a region that is not a multiple of 64.
+        {{300, 2000, 1500}, 0.05},
         {{0, kWords * 16, 0}, 0.0},  // no faults at all
         {{0, kWords * 16, 0}, 1.0},  // every cell faulty
     };
-    Rng fill(505);
-    for (const auto &tc : cases) {
-        std::vector<std::int16_t> w0(kWords), w1(kWords);
-        for (auto &v : w0)
-            v = static_cast<std::int16_t>(fill.uniformInt(65536) - 32768);
-        w1 = w0;
-        Rng r0(99), r1(99);
-        const auto f0 = ref_->applyFaultMap(w0, map, tc.win,
-                                            {tc.fail, 0.5}, r0);
-        const auto f1 = vec_->applyFaultMap(w1, map, tc.win,
-                                            {tc.fail, 0.5}, r1);
-        EXPECT_EQ(f0, f1) << "fail_prob=" << tc.fail;
-        EXPECT_EQ(std::memcmp(w0.data(), w1.data(),
-                              kWords * sizeof(std::int16_t)),
-                  0)
-            << "fail_prob=" << tc.fail;
-        // Identical RNG consumption: the next draws must agree.
-        EXPECT_EQ(r0.next(), r1.next()) << "fail_prob=" << tc.fail;
+    for (const auto &map : faultKernelMaps(7, 3)) {
+        Rng fill(505);
+        for (const auto &tc : cases) {
+            std::vector<std::int16_t> w0(kWords), w1(kWords);
+            for (auto &v : w0)
+                v = static_cast<std::int16_t>(fill.uniformInt(65536) -
+                                              32768);
+            w1 = w0;
+            Rng r0(99), r1(99);
+            const auto f0 = ref_->applyFaultMap(w0, map, tc.win,
+                                                {tc.fail, 0.5}, r0);
+            const auto f1 = vec_->applyFaultMap(w1, map, tc.win,
+                                                {tc.fail, 0.5}, r1);
+            EXPECT_EQ(f0, f1) << "fail_prob=" << tc.fail;
+            EXPECT_EQ(std::memcmp(w0.data(), w1.data(),
+                                  kWords * sizeof(std::int16_t)),
+                      0)
+                << "fail_prob=" << tc.fail;
+            // Identical RNG consumption: the next draws must agree.
+            EXPECT_EQ(r0.next(), r1.next()) << "fail_prob=" << tc.fail;
+        }
     }
 }
 
 TEST_F(BackendEquivalence, FusedDequantMatchesReference)
 {
-    const sram::VulnerabilityMap map(11, 1);
     const std::size_t kWords = 513;
     const FixedPointCodec codec(12);
-    Rng fill(606);
-    for (double fail : {0.0, 0.03, 0.5}) {
-        std::vector<std::int16_t> w0(kWords), w1(kWords);
-        for (auto &v : w0)
-            v = static_cast<std::int16_t>(fill.uniformInt(65536) - 32768);
-        w1 = w0;
-        std::vector<float> out0(kWords), out1(kWords);
-        const FaultWindow win{128, kWords * 16 + 64, 32};
-        Rng r0(7), r1(7);
-        const auto f0 = ref_->applyFaultMapDequant(
-            w0, codec, out0.data(), map, win, {fail, 0.5}, r0);
-        const auto f1 = vec_->applyFaultMapDequant(
-            w1, codec, out1.data(), map, win, {fail, 0.5}, r1);
-        EXPECT_EQ(f0, f1);
-        EXPECT_EQ(std::memcmp(w0.data(), w1.data(),
-                              kWords * sizeof(std::int16_t)),
-                  0);
-        EXPECT_TRUE(bitsEqual(out0.data(), out1.data(), kWords))
-            << "fail_prob=" << fail;
-        EXPECT_EQ(r0.next(), r1.next());
+    for (const auto &map : faultKernelMaps(11, 1)) {
+        Rng fill(606);
+        for (double fail : {0.0, 0.03, 0.5}) {
+            std::vector<std::int16_t> w0(kWords), w1(kWords);
+            for (auto &v : w0)
+                v = static_cast<std::int16_t>(fill.uniformInt(65536) -
+                                              32768);
+            w1 = w0;
+            std::vector<float> out0(kWords), out1(kWords);
+            const FaultWindow win{128, kWords * 16 + 64, 32};
+            Rng r0(7), r1(7);
+            const auto f0 = ref_->applyFaultMapDequant(
+                w0, codec, out0.data(), map, win, {fail, 0.5}, r0);
+            const auto f1 = vec_->applyFaultMapDequant(
+                w1, codec, out1.data(), map, win, {fail, 0.5}, r1);
+            EXPECT_EQ(f0, f1);
+            EXPECT_EQ(std::memcmp(w0.data(), w1.data(),
+                                  kWords * sizeof(std::int16_t)),
+                      0);
+            EXPECT_TRUE(bitsEqual(out0.data(), out1.data(), kWords))
+                << "fail_prob=" << fail;
+            EXPECT_EQ(r0.next(), r1.next());
+        }
     }
 }
 
 TEST_F(BackendEquivalence, FaultMapBitsInterleavedWindows)
 {
     // The ECC path draws alternately from a data window and a check
-    // window; equivalence must hold under that interleaving too.
-    const sram::VulnerabilityMap map(13, 2);
+    // window; equivalence must hold under that interleaving too. Data
+    // groups are full 64-bit groups every other time (the vectorized
+    // fast path), and the RNG state must agree after every call.
     const FaultWindow data{0, 1 << 14, 100};
     const FaultWindow check{1 << 14, 1 << 12, 9};
-    Rng r0(3), r1(3), fill(707);
-    for (int i = 0; i < 64; ++i) {
-        std::uint64_t b0 = fill.next();
-        std::uint64_t b1 = b0;
-        const int nbits = 1 + static_cast<int>(fill.uniformInt(64));
-        const FaultWindow &winr = (i % 2) ? check : data;
-        FaultWindow w0 = winr, w1 = winr;
-        w0.startBit += static_cast<std::uint64_t>(i) * 64;
-        w1.startBit = w0.startBit;
-        const auto f0 =
-            ref_->applyFaultMapBits(b0, nbits, map, w0, {0.04, 0.5}, r0);
-        const auto f1 =
-            vec_->applyFaultMapBits(b1, nbits, map, w1, {0.04, 0.5}, r1);
-        EXPECT_EQ(f0, f1) << "i=" << i << " nbits=" << nbits;
-        EXPECT_EQ(b0, b1) << "i=" << i << " nbits=" << nbits;
+    for (const auto &map : faultKernelMaps(13, 2)) {
+        for (double fail : {0.04, 0.3}) {
+            Rng r0(3), r1(3), fill(707);
+            for (int i = 0; i < 256; ++i) {
+                std::uint64_t b0 = fill.next();
+                std::uint64_t b1 = b0;
+                const bool is_check = i % 2 != 0;
+                const int nbits =
+                    !is_check && i % 4 == 0
+                        ? 64
+                        : 1 + static_cast<int>(fill.uniformInt(64));
+                FaultWindow w0 = is_check ? check : data;
+                // Data groups march past the region's end, so some
+                // straddle the wrap point.
+                w0.startBit += static_cast<std::uint64_t>(i) * 64;
+                const FaultWindow w1 = w0;
+                const auto f0 = ref_->applyFaultMapBits(b0, nbits, map, w0,
+                                                        {fail, 0.5}, r0);
+                const auto f1 = vec_->applyFaultMapBits(b1, nbits, map, w1,
+                                                        {fail, 0.5}, r1);
+                EXPECT_EQ(f0, f1) << "i=" << i << " nbits=" << nbits;
+                EXPECT_EQ(b0, b1) << "i=" << i << " nbits=" << nbits;
+                Rng c0 = r0, c1 = r1;
+                ASSERT_EQ(c0.next(), c1.next())
+                    << "RNG diverged at i=" << i << " fail=" << fail;
+            }
+        }
     }
-    EXPECT_EQ(r0.next(), r1.next());
 }
 
 // ------------------------------------------------- packed fault maps
 
+/** Every visit of `packed` equals the per-cell isFaulty() answer of
+ *  its cell, and mask() agrees with test() across word boundaries. */
+void
+expectPackedMatchesPerCell(const sram::VulnerabilityMap &map,
+                           std::uint64_t base, std::uint64_t region,
+                           std::uint64_t start, std::uint64_t nbits,
+                           double fail)
+{
+    SCOPED_TRACE(::testing::Message()
+                 << "base " << base << " region " << region << " start "
+                 << start << " nbits " << nbits << " fail " << fail);
+    const sram::PackedFaultMap packed(map, base, region, start, nbits,
+                                      fail);
+    ASSERT_EQ(packed.numBits(), nbits);
+    std::uint64_t expect_count = 0;
+    std::uint64_t mismatches = 0;
+    for (std::uint64_t j = 0; j < nbits; ++j) {
+        const std::uint64_t cell = base + (start + j) % region;
+        const bool faulty = map.isFaulty(cell, fail);
+        if (packed.test(j) != faulty && ++mismatches <= 5)
+            ADD_FAILURE() << "visit " << j << " cell " << cell;
+        expect_count += faulty;
+    }
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_EQ(packed.countFaulty(), expect_count);
+    // mask() straddling 64-bit word boundaries, and reading past
+    // numBits() (must read as zero).
+    for (std::uint64_t j :
+         {std::uint64_t{0}, std::uint64_t{60}, std::uint64_t{127},
+          nbits > 5 ? nbits - 5 : std::uint64_t{0}}) {
+        if (j >= nbits)
+            continue;
+        const unsigned nb = 64;
+        const std::uint64_t m = packed.mask(j, nb);
+        for (unsigned b = 0; b < nb; ++b) {
+            const bool expect = j + b < nbits && packed.test(j + b);
+            EXPECT_EQ(((m >> b) & 1u) != 0, expect)
+                << "mask(" << j << ") bit " << b;
+        }
+    }
+}
+
 TEST(PackedFaultMapEdgeCases, MatchesPerCellQueries)
 {
-    const sram::VulnerabilityMap map(17, 5);
+    // Heavy defects: coverage * defectBoost > 1, so hi saturates at
+    // F / coverage and the background stratum never fails (lo = 0).
+    const sram::VulnerabilityMap saturated = clusteredMap(17, 5, 576, 0.3,
+                                                          0.2);
+    ASSERT_EQ(saturated.stratumThresholds(0.05).lo, 0u);
+    const sram::VulnerabilityMap maps[] = {
+        sram::VulnerabilityMap(17, 5),
+        clusteredMap(17, 5, 576),
+        clusteredMap(17, 5, 100),
+        clusteredMap(17, 5, 37),
+        clusteredMap(17, 5, 576, 0.05, 0.0), // row defects only
+        clusteredMap(17, 5, 100, 0.0, 0.1),  // column defects only
+        saturated,
+    };
     const struct
     {
         std::uint64_t base, region, start, nbits;
@@ -622,41 +720,27 @@ TEST(PackedFaultMapEdgeCases, MatchesPerCellQueries)
         {0, 1000, 0, 1000, 0.05},    // non-multiple-of-64 count
         {64, 512, 500, 600, 0.05},   // wraps and revisits cells
         {0, 4096, 4090, 100, 0.05},  // starts at the wrap point
+        {0, 4096, 4096, 200, 0.05},  // start a whole lap in: offset 0
         {0, 256, 0, 256, 0.0},       // no faulty cells
         {0, 256, 0, 256, 1.0},       // every cell faulty
         {7, 130, 129, 3, 0.5},       // tiny map, word-tail bits
+        {1000, 37, 5, 7 * 37 + 3, 0.2}, // laps shorter than a word
+        {0, 1 << 12, 0, 3 * (1 << 12) + 5, 0.05}, // word-aligned laps
     };
-    for (const auto &tc : cases) {
-        const sram::PackedFaultMap packed(map, tc.base, tc.region,
-                                          tc.start, tc.nbits, tc.fail);
-        ASSERT_EQ(packed.numBits(), tc.nbits);
-        std::uint64_t expect_count = 0;
-        for (std::uint64_t j = 0; j < tc.nbits; ++j) {
-            const std::uint64_t cell =
-                tc.base + (tc.start + j) % tc.region;
-            const bool faulty = map.isFaulty(cell, tc.fail);
-            EXPECT_EQ(packed.test(j), faulty)
-                << "visit " << j << " cell " << cell;
-            expect_count += faulty;
-        }
-        EXPECT_EQ(packed.countFaulty(), expect_count);
-        // mask() straddling 64-bit word boundaries, and reading past
-        // numBits() (must read as zero).
-        for (std::uint64_t j : {std::uint64_t{0}, std::uint64_t{60},
-                                std::uint64_t{127},
-                                tc.nbits > 5 ? tc.nbits - 5
-                                             : std::uint64_t{0}}) {
-            if (j >= tc.nbits)
-                continue;
-            const unsigned nb = 64;
-            const std::uint64_t m = packed.mask(j, nb);
-            for (unsigned b = 0; b < nb; ++b) {
-                const bool expect =
-                    j + b < tc.nbits && packed.test(j + b);
-                EXPECT_EQ(((m >> b) & 1u) != 0, expect)
-                    << "mask(" << j << ") bit " << b;
-            }
-        }
+    for (const auto &map : maps) {
+        SCOPED_TRACE(map.model() == sram::MapModel::Iid
+                         ? std::string("iid")
+                         : "clustered rowCells " +
+                               std::to_string(map.cluster().rowCells));
+        for (const auto &tc : cases)
+            expectPackedMatchesPerCell(map, tc.base, tc.region, tc.start,
+                                       tc.nbits, tc.fail);
+        // Mid-region, mid-row start, 5+ laps of a region that is not
+        // a multiple of 64 or of any row length above, at every
+        // stratum regime (hi = 1 at F = 0.2 on the default maps).
+        for (double fail : {0.0, 1e-4, 5e-3, 0.05, 0.2, 1.0})
+            expectPackedMatchesPerCell(map, 300, 5003, 2501,
+                                       5 * 5003 + 77, fail);
     }
 }
 

@@ -173,6 +173,12 @@ TEST(ClusteredMap, ValidateRejectsBadKnobs)
     EXPECT_THROW(p.validate(), FatalError);
 
     p = ClusterParams{};
+    p.rowCells = ClusterParams::kMaxRowCells;
+    EXPECT_NO_THROW(p.validate());
+    p.rowCells = ClusterParams::kMaxRowCells + 1;
+    EXPECT_THROW(p.validate(), FatalError);
+
+    p = ClusterParams{};
     p.rowDefectProb = 1.2;
     EXPECT_THROW(p.validate(), FatalError);
 
@@ -301,6 +307,46 @@ TEST(ClusteredMap, InclusivityAcrossVoltages)
             EXPECT_TRUE(map.isFaulty(cell, 0.3));
         }
     }
+}
+
+TEST(ClusteredMap, DefectCursorMatchesInDefectCluster)
+{
+    // The cursor's masks come from a per-run column bitmap and one row
+    // hash per row; each bit must equal inDefectCluster() of its cell,
+    // for rows narrower than, equal to and wider than a 64-bit word.
+    for (std::uint64_t row_cells : {1ull, 37ull, 64ull, 100ull, 576ull}) {
+        ClusterParams p;
+        p.rowCells = row_cells;
+        p.rowDefectProb = 0.1;
+        p.colDefectProb = 0.1;
+        const VulnerabilityMap map(9, 4, MapModel::Clustered, p);
+        const std::uint64_t first = 3 * row_cells + row_cells / 2;
+        const std::uint64_t count = 2000;
+        DefectCursor run(map, first, count);
+        std::uint64_t cell = first;
+        for (unsigned n = 1; cell + n <= first + count; n = n % 64 + 1) {
+            const std::uint64_t bits = run.next(n);
+            for (unsigned b = 0; b < n; ++b) {
+                ASSERT_EQ(((bits >> b) & 1u) != 0,
+                          map.inDefectCluster(cell + b))
+                    << "rowCells " << row_cells << " cell " << cell + b;
+            }
+            cell += n;
+        }
+        // A whole-map cursor answers anywhere after a seek.
+        DefectCursor all(map);
+        for (std::uint64_t at : {std::uint64_t{0}, row_cells - 1,
+                                 std::uint64_t{123457}}) {
+            all.seek(at);
+            const std::uint64_t bits = all.next(64);
+            for (unsigned b = 0; b < 64; ++b)
+                ASSERT_EQ(((bits >> b) & 1u) != 0,
+                          map.inDefectCluster(at + b))
+                    << "rowCells " << row_cells << " cell " << at + b;
+        }
+    }
+    DefectCursor iid(VulnerabilityMap(9, 4), 0, 1000);
+    EXPECT_EQ(iid.next(64), 0u);
 }
 
 TEST(CorruptWords, FlipRateMatchesFailTimesFlipProb)
