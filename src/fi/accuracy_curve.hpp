@@ -47,7 +47,9 @@ class AccuracyCurve
      */
     double at(double fail_prob) const;
 
-    /** Accuracy with no faults (the quantized ceiling). */
+    /** Accuracy with no faults. sample() takes it from
+     *  FaultInjectionRunner::baselineAccuracy: the float weights, not
+     *  their int16 round trip. */
     double faultFree() const { return faultFree_; }
 
     /** The sampled grid (diagnostics). */

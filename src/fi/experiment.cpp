@@ -82,8 +82,8 @@ evaluateWithTimingFaults(dnn::Network &net, const dnn::Dataset &set,
 }
 
 /** Stream key of map m's datapath violation hashes (base 5000 for
- *  runTiming, 7000 for runCombined; 1000-4000 belong to the SRAM
- *  experiment kinds). */
+ *  runTiming, 7000 for runCombined; 1000-4000 and 6000 belong to the
+ *  SRAM experiment kinds). */
 std::uint64_t
 datapathKey(std::uint64_t seed, std::uint64_t base, std::uint64_t m)
 {
@@ -185,10 +185,14 @@ FaultInjectionRunner::ensureScratch(unsigned count)
 }
 
 std::vector<FaultInjectionRunner::MapResult>
-FaultInjectionRunner::runMaps(
-    std::size_t jobs,
-    const std::function<MapResult(std::size_t, dnn::Network &)> &evaluate)
+FaultInjectionRunner::runMaps(const std::string &kind, std::size_t jobs,
+                              const MapJob &evaluate)
 {
+    std::optional<obs::ScopeTimer> timer;
+    if (obs_) {
+        timer.emplace(obs_->metrics, "fi.run", trialClock_,
+                      withBase({{"kind", kind}}));
+    }
     const unsigned threads =
         ThreadPool::resolveThreads(cfg_.numThreads);
     const unsigned workers = static_cast<unsigned>(
@@ -203,11 +207,28 @@ FaultInjectionRunner::runMaps(
                 [&](std::size_t j, unsigned slot) {
                     results[j] = evaluate(j, *scratch_[slot]);
                 });
+    recordTrials(kind, results);
     return results;
 }
 
+std::vector<FaultInjectionRunner::MapResult>
+FaultInjectionRunner::runOpenLoop(const std::string &kind, std::size_t jobs,
+                                  std::uint64_t stream,
+                                  const OpenLoopStage &stage)
+{
+    const auto maps = static_cast<std::size_t>(cfg_.numMaps);
+    return runMaps(kind, jobs, [&](std::size_t j, dnn::Network &scratch) {
+        const auto m = static_cast<std::uint64_t>(j % maps);
+        const sram::VulnerabilityMap map = makeMap(m);
+        Rng rng = Rng(cfg_.seed).split(stream + m);
+        MapResult r;
+        stage(j, scratch, map, rng, r);
+        return r;
+    });
+}
+
 AccuracyPoint
-FaultInjectionRunner::reduce(const std::vector<MapResult> &results,
+FaultInjectionRunner::reduce(std::span<const MapResult> results,
                              double fail_prob, sram::EccStats *stats)
 {
     // Deterministic reduction: one singleton accumulator per map,
@@ -238,35 +259,29 @@ FaultInjectionRunner::reduce(const std::vector<MapResult> &results,
 double
 FaultInjectionRunner::baselineAccuracy()
 {
-    // Quantization round trip with no faults: the accelerator's
-    // error-free ceiling (what "maximum accuracy" means in Fig. 2).
+    // The fault-free weights are a float copy of the golden model
+    // (what corruptNetwork stages at F = 0), not their int16 round
+    // trip.
     ensureScratch(1);
     dnn::Network &scratch = *scratch_[0];
-    const sram::VulnerabilityMap map = makeMap(0);
-    Rng rng(cfg_.seed);
-    InjectionSpec spec;
-    spec.injectWeights = true;
-    corruptNetwork(scratch, net_, map, /*fail_prob=*/0.0, spec,
-                   cfg_.layout, rng);
+    scratch.copyParamsFrom(net_);
     return dnn::SgdTrainer::evaluate(scratch, evalSet_, 0);
 }
 
-AccuracyPoint
-FaultInjectionRunner::run(double fail_prob, const InjectionSpec &spec)
+std::vector<AccuracyPoint>
+FaultInjectionRunner::runRateGrid(const std::string &kind,
+                                  const std::vector<double> &rates,
+                                  const InjectionSpec &spec)
 {
-    std::optional<obs::ScopeTimer> timer;
-    if (obs_) {
-        timer.emplace(obs_->metrics, "fi.run", trialClock_,
-                      withBase({{"kind", "inject"}}));
-    }
-    const auto results = runMaps(
-        static_cast<std::size_t>(cfg_.numMaps),
-        [&](std::size_t m, dnn::Network &scratch) {
-            const sram::VulnerabilityMap map =
-                makeMap(static_cast<std::uint64_t>(m));
-            Rng rng = Rng(cfg_.seed).split(
-                1000 + static_cast<std::uint64_t>(m));
-            MapResult r;
+    // One flat job grid over (rate, map): sweeps with few maps per
+    // point still fill every worker. Map m draws from stream 1000 + m
+    // at every rate.
+    const auto maps = static_cast<std::size_t>(cfg_.numMaps);
+    const auto results = runOpenLoop(
+        kind, rates.size() * maps, 1000,
+        [&](std::size_t j, dnn::Network &scratch,
+            const sram::VulnerabilityMap &map, Rng &rng, MapResult &r) {
+            const double fail_prob = rates[j / maps];
             r.bitFlips = corruptNetwork(scratch, net_, map, fail_prob,
                                         spec, cfg_.layout, rng);
             if (spec.injectInputs) {
@@ -279,36 +294,34 @@ FaultInjectionRunner::run(double fail_prob, const InjectionSpec &spec)
                 r.accuracy =
                     dnn::SgdTrainer::evaluate(scratch, evalSet_, 0);
             }
-            return r;
         });
-    recordTrials("inject", results);
-    return reduce(results, fail_prob);
+
+    std::vector<AccuracyPoint> out;
+    out.reserve(rates.size());
+    for (std::size_t v = 0; v < rates.size(); ++v)
+        out.push_back(reduce({results.data() + v * maps, maps}, rates[v]));
+    return out;
+}
+
+AccuracyPoint
+FaultInjectionRunner::run(double fail_prob, const InjectionSpec &spec)
+{
+    return runRateGrid("inject", {fail_prob}, spec).front();
 }
 
 AccuracyPoint
 FaultInjectionRunner::runPerLayer(const std::vector<double> &fail_by_layer,
                                   double flip_prob)
 {
-    std::optional<obs::ScopeTimer> timer;
-    if (obs_) {
-        timer.emplace(obs_->metrics, "fi.run", trialClock_,
-                      withBase({{"kind", "per_layer"}}));
-    }
-    const auto results = runMaps(
-        static_cast<std::size_t>(cfg_.numMaps),
-        [&](std::size_t m, dnn::Network &scratch) {
-            const sram::VulnerabilityMap map =
-                makeMap(static_cast<std::uint64_t>(m));
-            Rng rng = Rng(cfg_.seed).split(
-                2000 + static_cast<std::uint64_t>(m));
-            MapResult r;
+    const auto results = runOpenLoop(
+        "per_layer", static_cast<std::size_t>(cfg_.numMaps), 2000,
+        [&](std::size_t, dnn::Network &scratch,
+            const sram::VulnerabilityMap &map, Rng &rng, MapResult &r) {
             r.bitFlips = corruptNetworkPerLayer(scratch, net_, map,
                                                 fail_by_layer, flip_prob,
                                                 cfg_.layout, rng);
             r.accuracy = dnn::SgdTrainer::evaluate(scratch, evalSet_, 0);
-            return r;
         });
-    recordTrials("per_layer", results);
     double max_f = 0.0;
     for (double f : fail_by_layer)
         max_f = std::max(max_f, f);
@@ -319,249 +332,109 @@ AccuracyPoint
 FaultInjectionRunner::runWithEcc(double fail_prob, double flip_prob,
                                  sram::EccStats *stats)
 {
-    std::optional<obs::ScopeTimer> timer;
-    if (obs_) {
-        timer.emplace(obs_->metrics, "fi.run", trialClock_,
-                      withBase({{"kind", "ecc"}}));
-    }
-    const auto results = runMaps(
-        static_cast<std::size_t>(cfg_.numMaps),
-        [&](std::size_t m, dnn::Network &scratch) {
-            const sram::VulnerabilityMap map =
-                makeMap(static_cast<std::uint64_t>(m));
-            Rng rng = Rng(cfg_.seed).split(
-                3000 + static_cast<std::uint64_t>(m));
-            MapResult r;
+    const auto results = runOpenLoop(
+        "ecc", static_cast<std::size_t>(cfg_.numMaps), 3000,
+        [&](std::size_t, dnn::Network &scratch,
+            const sram::VulnerabilityMap &map, Rng &rng, MapResult &r) {
             r.bitFlips =
                 corruptNetworkEcc(scratch, net_, map, fail_prob,
                                   flip_prob, cfg_.layout, rng, &r.ecc);
             r.accuracy = dnn::SgdTrainer::evaluate(scratch, evalSet_, 0);
-            return r;
         });
-    recordTrials("ecc", results);
     return reduce(results, fail_prob, stats);
 }
 
-ResilientAccuracyPoint
-FaultInjectionRunner::runResilient(Volt vdd, const core::SimContext &ctx,
-                                   const resilience::ResiliencePolicy &policy)
+CombinedAccuracyPoint
+FaultInjectionRunner::runClosedLoop(const core::SimContext &ctx,
+                                    const ClosedLoop &loop)
 {
+    const TimingInjection *inj = loop.inj;
+    if (inj) {
+        inj->params.validate();
+        inj->policy.validate();
+    }
     // Dante's weight memory: the layout's weight region split into
     // 64 Kbit banks (16 for the 128 KB default).
     const int banks = static_cast<int>(cfg_.layout.weightRegionBits /
                                        sram::SramBank::kBits);
-    if (banks < 1)
-        fatal("runResilient: weight region smaller than one bank");
+    if (loop.policy && banks < 1)
+        fatal("FaultInjectionRunner: weight region smaller than one bank");
     const sram::FailureRateModel failure(ctx.failure);
-
-    std::optional<obs::ScopeTimer> timer;
-    if (obs_) {
-        timer.emplace(obs_->metrics, "fi.run", trialClock_,
-                      withBase({{"kind", "resilient"}}));
-    }
-    const auto results = runMaps(
-        static_cast<std::size_t>(cfg_.numMaps),
-        [&](std::size_t m, dnn::Network &scratch) {
-            // Each map is one device instance: fresh memory, monitors,
-            // standing levels and spare table. The per-access flip
-            // randomness comes from a counter-derived stream (4000+m;
-            // 1000/2000/3000 belong to the other experiment kinds).
-            const sram::VulnerabilityMap map =
-                makeMap(static_cast<std::uint64_t>(m));
-            sram::BankedMemory mem("weight_mem", banks, ctx.design,
-                                   ctx.tech, failure);
-            resilience::ResilientMemory rmem(mem, ctx, policy);
-            rmem.reseed(Rng(cfg_.seed).split(
-                4000 + static_cast<std::uint64_t>(m)));
-            const sram::CleanWordIndex index =
-                resilience::ResilientMemory::cleanWordIndex(map, mem);
-
-            MapResult r;
-            r.bitFlips = corruptNetworkResilient(scratch, net_, rmem, vdd,
-                                                 map, index);
-            r.accuracy = dnn::SgdTrainer::evaluate(scratch, evalSet_, 0);
-            r.res = rmem.snapshot();
-            r.resEnergy = rmem.totalAccessEnergy();
-            // Each worker exports into its map's private registry
-            // (reads obsLabels_ only); the serial reduction below
-            // merges them in map order per the §7 discipline.
-            if (obs_)
-                rmem.exportMetrics(r.metrics, withBase({}));
-            return r;
-        });
-
-    recordTrials("resilient", results);
-    if (obs_) {
-        for (const MapResult &r : results)
-            obs_->metrics.merge(r.metrics);
-    }
-
-    ResilientAccuracyPoint out;
-    out.point = reduce(results, failure.rate(vdd));
-    out.point.voltage = vdd;
-    double energy_sum = 0.0;
-    double latency_sum = 0.0;
-    for (const auto &r : results) {
-        out.stats.merge(r.res);
-        energy_sum += r.resEnergy.value();         // vblint: assoc-ok(map-index-order reduction, §7)
-        latency_sum += r.res.retryLatency.value(); // vblint: assoc-ok(map-index-order reduction, §7)
-    }
-    const auto n = static_cast<double>(results.size());
-    out.meanAccessEnergy = Joule(energy_sum / n);
-    out.meanRetryLatency = Second(latency_sum / n);
-    return out;
-}
-
-TimingAccuracyPoint
-FaultInjectionRunner::runTiming(const core::SimContext &ctx,
-                                const TimingInjection &inj)
-{
-    inj.params.validate();
-    inj.policy.validate();
     // Prototype datapath for the derived operating-point quantities
     // (safe rail, initial-rail error probability, cycle stretch);
     // never executes ops.
-    const timing::SpeculativeDatapath proto(
-        ctx.tech, inj.params, inj.policy, inj.vLogic, inj.clock);
+    std::optional<timing::SpeculativeDatapath> proto;
+    if (inj)
+        proto.emplace(ctx.tech, inj->params, inj->policy, inj->vLogic,
+                      inj->clock);
 
-    std::optional<obs::ScopeTimer> timer;
-    if (obs_) {
-        timer.emplace(obs_->metrics, "fi.run", trialClock_,
-                      withBase({{"kind", "timing"}}));
-    }
     const auto results = runMaps(
-        static_cast<std::size_t>(cfg_.numMaps),
-        [&](std::size_t m, dnn::Network &scratch) {
-            // Weights stage fault-free through the int16 round trip:
-            // the SRAM is clean, only the datapath misbehaves.
-            const sram::VulnerabilityMap map =
-                makeMap(static_cast<std::uint64_t>(m));
-            Rng rng = Rng(cfg_.seed).split(
-                5000 + static_cast<std::uint64_t>(m));
-            InjectionSpec spec;
-            spec.injectWeights = true;
-            corruptNetwork(scratch, net_, map, /*fail_prob=*/0.0, spec,
-                           cfg_.layout, rng);
-
-            // Each map is one device instance: fresh monitors, ladder
-            // position and violation-hash stream.
-            timing::SpeculativeDatapath dp(ctx.tech, inj.params,
-                                           inj.policy, inj.vLogic,
-                                           inj.clock);
-            const std::uint64_t key = datapathKey(
-                cfg_.seed, 5000, static_cast<std::uint64_t>(m));
-            dp.reseed(key);
-
+        loop.kind, static_cast<std::size_t>(cfg_.numMaps),
+        [&](std::size_t j, dnn::Network &scratch) {
+            // Each map is one device instance: fresh memory, monitors,
+            // standing levels, spare table and datapath ladder.
+            const auto m = static_cast<std::uint64_t>(j);
             MapResult r;
+            if (loop.policy) {
+                const sram::VulnerabilityMap map = makeMap(m);
+                sram::BankedMemory mem("weight_mem", banks, ctx.design,
+                                       ctx.tech, failure);
+                resilience::ResilientMemory rmem(mem, ctx, *loop.policy);
+                rmem.reseed(Rng(cfg_.seed).split(loop.sramStream + m));
+                const sram::CleanWordIndex index =
+                    resilience::ResilientMemory::cleanWordIndex(map, mem);
+                r.bitFlips = corruptNetworkResilient(
+                    scratch, net_, rmem, loop.vSram, map, index);
+                r.res = rmem.snapshot();
+                r.resEnergy = rmem.totalAccessEnergy();
+                // Each worker exports into its map's private registry
+                // (reads obsLabels_ only); the serial reduction below
+                // merges them in map order per the §7 discipline.
+                if (obs_)
+                    rmem.exportMetrics(r.metrics, withBase({}));
+            } else {
+                // A clean SRAM: the weights stage as the float copy
+                // corruptNetwork makes at F = 0.
+                scratch.copyParamsFrom(net_);
+            }
+            if (!inj) {
+                r.accuracy = dnn::SgdTrainer::evaluate(scratch, evalSet_, 0);
+                return r;
+            }
+
+            timing::SpeculativeDatapath dp(ctx.tech, inj->params,
+                                           inj->policy, inj->vLogic,
+                                           inj->clock);
+            const std::uint64_t key =
+                datapathKey(cfg_.seed, loop.dpStream, m);
+            dp.reseed(key);
             r.accuracy = evaluateWithTimingFaults(scratch, evalSet_, dp,
                                                   corruptKey(key));
             r.tim = dp.stats();
             // "Bit flips" on the timing side = corrupted commits that
             // reached inference (one flipped bit each).
-            r.bitFlips = r.tim.corrupted;
+            r.bitFlips += r.tim.corrupted;
             if (obs_)
                 dp.exportMetrics(r.metrics, withBase({}));
             return r;
         });
 
-    recordTrials("timing", results);
     if (obs_) {
         for (const MapResult &r : results)
             obs_->metrics.merge(r.metrics);
     }
 
-    TimingAccuracyPoint out;
-    out.point = reduce(results, proto.currentOpErrorProb());
-    out.point.voltage = inj.vLogic;
-    const double period = proto.effectivePeriod().value();
-    double energy_sum = 0.0;
-    double latency_sum = 0.0;
-    for (const auto &r : results) {
-        out.stats.merge(r.tim);
-        energy_sum += r.tim.logicEnergy.value(); // vblint: assoc-ok(map-index-order reduction, §7)
-        latency_sum +=                           // vblint: assoc-ok(map-index-order reduction, §7)
-            static_cast<double>(r.tim.replayCycles +
-                                r.tim.bubbleCycles) *
-            period;
-    }
-    const auto n = static_cast<double>(results.size());
-    out.meanLogicEnergy = Joule(energy_sum / n);
-    out.meanReplayLatency = Second(latency_sum / n);
-    out.cycleStretch = proto.cycleStretch();
-    out.safeVoltage = proto.safeVoltage();
-    return out;
-}
-
-CombinedAccuracyPoint
-FaultInjectionRunner::runCombined(Volt v_sram,
-                                  const core::SimContext &ctx,
-                                  const resilience::ResiliencePolicy &policy,
-                                  const TimingInjection &inj)
-{
-    inj.params.validate();
-    inj.policy.validate();
-    const int banks = static_cast<int>(cfg_.layout.weightRegionBits /
-                                       sram::SramBank::kBits);
-    if (banks < 1)
-        fatal("runCombined: weight region smaller than one bank");
-    const sram::FailureRateModel failure(ctx.failure);
-    const timing::SpeculativeDatapath proto(
-        ctx.tech, inj.params, inj.policy, inj.vLogic, inj.clock);
-
-    std::optional<obs::ScopeTimer> timer;
-    if (obs_) {
-        timer.emplace(obs_->metrics, "fi.run", trialClock_,
-                      withBase({{"kind", "combined"}}));
-    }
-    const auto results = runMaps(
-        static_cast<std::size_t>(cfg_.numMaps),
-        [&](std::size_t m, dnn::Network &scratch) {
-            // SRAM side exactly as runResilient, but on its own
-            // counter streams (6000+m) so combined runs never reuse
-            // the resilient-only experiment's randomness.
-            const sram::VulnerabilityMap map =
-                makeMap(static_cast<std::uint64_t>(m));
-            sram::BankedMemory mem("weight_mem", banks, ctx.design,
-                                   ctx.tech, failure);
-            resilience::ResilientMemory rmem(mem, ctx, policy);
-            rmem.reseed(Rng(cfg_.seed).split(
-                6000 + static_cast<std::uint64_t>(m)));
-            const sram::CleanWordIndex index =
-                resilience::ResilientMemory::cleanWordIndex(map, mem);
-
-            MapResult r;
-            r.bitFlips = corruptNetworkResilient(scratch, net_, rmem,
-                                                 v_sram, map, index);
-
-            timing::SpeculativeDatapath dp(ctx.tech, inj.params,
-                                           inj.policy, inj.vLogic,
-                                           inj.clock);
-            const std::uint64_t key = datapathKey(
-                cfg_.seed, 7000, static_cast<std::uint64_t>(m));
-            dp.reseed(key);
-            r.accuracy = evaluateWithTimingFaults(scratch, evalSet_, dp,
-                                                  corruptKey(key));
-            r.tim = dp.stats();
-            r.bitFlips += r.tim.corrupted;
-            r.res = rmem.snapshot();
-            r.resEnergy = rmem.totalAccessEnergy();
-            if (obs_) {
-                rmem.exportMetrics(r.metrics, withBase({}));
-                dp.exportMetrics(r.metrics, withBase({}));
-            }
-            return r;
-        });
-
-    recordTrials("combined", results);
-    if (obs_) {
-        for (const MapResult &r : results)
-            obs_->metrics.merge(r.metrics);
-    }
-
+    // The point sits on the SRAM rail when there is an SRAM side, on
+    // the logic rail otherwise.
     CombinedAccuracyPoint out;
-    out.point = reduce(results, failure.rate(v_sram));
-    out.point.voltage = v_sram;
-    const double period = proto.effectivePeriod().value();
+    if (loop.policy) {
+        out.point = reduce(results, failure.rate(loop.vSram));
+        out.point.voltage = loop.vSram;
+    } else {
+        out.point = reduce(results, proto->currentOpErrorProb());
+        out.point.voltage = inj->vLogic;
+    }
+    const double period = proto ? proto->effectivePeriod().value() : 0.0;
     double sram_energy = 0.0;
     double logic_energy = 0.0;
     double retry_latency = 0.0;
@@ -582,9 +455,56 @@ FaultInjectionRunner::runCombined(Volt v_sram,
     out.meanLogicEnergy = Joule(logic_energy / n);
     out.meanRetryLatency = Second(retry_latency / n);
     out.meanReplayLatency = Second(replay_latency / n);
-    out.cycleStretch = proto.cycleStretch();
-    out.safeVoltage = proto.safeVoltage();
+    if (proto) {
+        out.cycleStretch = proto->cycleStretch();
+        out.safeVoltage = proto->safeVoltage();
+    }
     return out;
+}
+
+ResilientAccuracyPoint
+FaultInjectionRunner::runResilient(Volt vdd, const core::SimContext &ctx,
+                                   const resilience::ResiliencePolicy &policy)
+{
+    // Flip randomness on stream 4000 + m; 1000/2000/3000 belong to
+    // the open-loop kinds.
+    const CombinedAccuracyPoint c = runClosedLoop(
+        ctx, {.kind = "resilient", .policy = &policy, .vSram = vdd,
+              .sramStream = 4000});
+    return {.point = c.point,
+            .stats = c.sram,
+            .meanAccessEnergy = c.meanSramEnergy,
+            .meanRetryLatency = c.meanRetryLatency};
+}
+
+TimingAccuracyPoint
+FaultInjectionRunner::runTiming(const core::SimContext &ctx,
+                                const TimingInjection &inj)
+{
+    const CombinedAccuracyPoint c = runClosedLoop(
+        ctx, {.kind = "timing", .inj = &inj, .dpStream = 5000});
+    return {.point = c.point,
+            .stats = c.timing,
+            .meanLogicEnergy = c.meanLogicEnergy,
+            .meanReplayLatency = c.meanReplayLatency,
+            .cycleStretch = c.cycleStretch,
+            .safeVoltage = c.safeVoltage};
+}
+
+CombinedAccuracyPoint
+FaultInjectionRunner::runCombined(Volt v_sram,
+                                  const core::SimContext &ctx,
+                                  const resilience::ResiliencePolicy &policy,
+                                  const TimingInjection &inj)
+{
+    // Streams of their own (6000 + m, datapath 7000 + m), so combined
+    // runs never reuse the single-side experiments' randomness.
+    return runClosedLoop(ctx, {.kind = "combined",
+                               .policy = &policy,
+                               .vSram = v_sram,
+                               .sramStream = 6000,
+                               .inj = &inj,
+                               .dpStream = 7000});
 }
 
 AccuracyPoint
@@ -602,54 +522,12 @@ FaultInjectionRunner::sweepVoltage(const std::vector<Volt> &voltages,
                                    const sram::FailureRateModel &model,
                                    const InjectionSpec &spec)
 {
-    const std::size_t maps = static_cast<std::size_t>(cfg_.numMaps);
     std::vector<double> rates(voltages.size());
     for (std::size_t v = 0; v < voltages.size(); ++v)
         rates[v] = model.rate(voltages[v]);
-
-    std::optional<obs::ScopeTimer> timer;
-    if (obs_) {
-        timer.emplace(obs_->metrics, "fi.run", trialClock_,
-                      withBase({{"kind", "sweep"}}));
-    }
-    // One flat job grid over (voltage, map): sweeps with few maps per
-    // point still fill every worker.
-    const auto results = runMaps(
-        voltages.size() * maps,
-        [&](std::size_t j, dnn::Network &scratch) {
-            const std::size_t m = j % maps;
-            const double fail_prob = rates[j / maps];
-            const sram::VulnerabilityMap map =
-                makeMap(static_cast<std::uint64_t>(m));
-            Rng rng = Rng(cfg_.seed).split(
-                1000 + static_cast<std::uint64_t>(m));
-            MapResult r;
-            r.bitFlips = corruptNetwork(scratch, net_, map, fail_prob,
-                                        spec, cfg_.layout, rng);
-            if (spec.injectInputs) {
-                dnn::Tensor corrupted = corruptInputs(
-                    evalSet_.images, map, fail_prob, spec.flipProb,
-                    cfg_.layout, rng);
-                r.accuracy =
-                    scratch.accuracy(corrupted, evalSet_.labels);
-            } else {
-                r.accuracy =
-                    dnn::SgdTrainer::evaluate(scratch, evalSet_, 0);
-            }
-            return r;
-        });
-
-    recordTrials("sweep", results);
-    std::vector<AccuracyPoint> out;
-    out.reserve(voltages.size());
-    for (std::size_t v = 0; v < voltages.size(); ++v) {
-        const std::vector<MapResult> slice(
-            results.begin() + static_cast<long>(v * maps),
-            results.begin() + static_cast<long>((v + 1) * maps));
-        AccuracyPoint p = reduce(slice, rates[v]);
-        p.voltage = voltages[v];
-        out.push_back(p);
-    }
+    std::vector<AccuracyPoint> out = runRateGrid("sweep", rates, spec);
+    for (std::size_t v = 0; v < voltages.size(); ++v)
+        out[v].voltage = voltages[v];
     return out;
 }
 

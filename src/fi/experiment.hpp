@@ -20,6 +20,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -167,7 +168,8 @@ class FaultInjectionRunner
     FaultInjectionRunner(dnn::Network &net, const dnn::Dataset &test_set,
                          ExperimentConfig cfg = {});
 
-    /** Accuracy with fault-free int16 quantization (the ceiling). */
+    /** Fault-free accuracy: the golden weights as a float copy (what
+     *  corruptNetwork stages at F = 0), not their int16 round trip. */
     double baselineAccuracy();
 
     /** Monte-Carlo accuracy at one bit failure probability. */
@@ -203,7 +205,7 @@ class FaultInjectionRunner
 
     /**
      * Monte-Carlo accuracy with *timing* faults only (DESIGN.md §13):
-     * weights stage fault-free through the int16 round trip, but
+     * weights stage fault-free as a float copy of the golden model, but
      * every layer-output element is one op on a timing-speculative
      * datapath at `inj.vLogic`. Ops whose replay budget exhausts
      * commit a corrupted output (one deterministic bit flip in the
@@ -260,30 +262,77 @@ class FaultInjectionRunner
         double accuracy = 0.0;
         std::uint64_t bitFlips = 0;
         sram::EccStats ecc;
-        /** Resilient-pipeline counters (runResilient only). */
+        /** Resilient-pipeline counters (closed loop, SRAM side). */
         resilience::ResilienceStats res;
-        /** Timing-datapath counters (runTiming/runCombined only). */
+        /** Timing-datapath counters (closed loop, timing side). */
         timing::TimingStats tim;
-        /** Per-map SRAM energy incl. resilience (runResilient only). */
+        /** Per-map SRAM energy incl. resilience (SRAM side). */
         Joule resEnergy{0.0};
-        /** Per-map ResilientMemory metrics export (runResilient with
-         *  observability attached only); merged in map order. */
+        /** Per-map ResilientMemory then datapath metrics export
+         *  (closed loop with observability attached only); merged in
+         *  map order. */
         obs::MetricsRegistry metrics;
     };
 
+    /** The closed-loop device of runResilient, runTiming and
+     *  runCombined: an SRAM side, a timing side, or both. */
+    struct ClosedLoop
+    {
+        /** Trial kind label of the metrics and spans. */
+        const char *kind = "";
+        /** SRAM side: each map stages the weights through a fresh
+         *  ResilientMemory under this policy at vSram, its flips drawn
+         *  from stream sramStream + m. Null: the weights stage as a
+         *  float copy. */
+        const resilience::ResiliencePolicy *policy = nullptr;
+        Volt vSram{0.0};
+        std::uint64_t sramStream = 0;
+        /** Timing side: each map evaluates on a fresh datapath keyed
+         *  by stream dpStream + m. Null: plain evaluation. */
+        const TimingInjection *inj = nullptr;
+        std::uint64_t dpStream = 0;
+    };
+
+    using MapJob = std::function<MapResult(std::size_t, dnn::Network &)>;
+    /** Open-loop stage of job j: corrupt `scratch` under `map` with
+     *  `rng`, then fill r's flips (and ECC stats) and accuracy. */
+    using OpenLoopStage = std::function<void(
+        std::size_t j, dnn::Network &scratch,
+        const sram::VulnerabilityMap &map, Rng &rng, MapResult &r)>;
+
     /**
-     * Evaluate `jobs` fault-map jobs in parallel; job j calls
-     * evaluate(j, scratch) with a worker-exclusive scratch clone and
-     * deposits into a results slot. Returns per-job results in job
-     * order regardless of scheduling.
+     * Evaluate `jobs` fault-map jobs in parallel under the `fi.run`
+     * timer of `kind`; job j calls evaluate(j, scratch) with a
+     * worker-exclusive scratch clone and deposits into a results slot.
+     * Records the trials and returns per-job results in job order
+     * regardless of scheduling.
      */
-    std::vector<MapResult> runMaps(
-        std::size_t jobs,
-        const std::function<MapResult(std::size_t, dnn::Network &)>
-            &evaluate);
+    std::vector<MapResult> runMaps(const std::string &kind,
+                                   std::size_t jobs,
+                                   const MapJob &evaluate);
+
+    /** The open-loop per-map scaffold over runMaps: job j draws map
+     *  m = j % numMaps and its RNG stream `stream` + m, then runs
+     *  `stage`. */
+    std::vector<MapResult> runOpenLoop(const std::string &kind,
+                                       std::size_t jobs,
+                                       std::uint64_t stream,
+                                       const OpenLoopStage &stage);
+
+    /** The rate-grid body of run and sweepVoltage: corruptNetwork (and
+     *  corruptInputs) over the (rate x map) grid, one point per rate
+     *  (voltage unset). */
+    std::vector<AccuracyPoint> runRateGrid(const std::string &kind,
+                                           const std::vector<double> &rates,
+                                           const InjectionSpec &spec);
+
+    /** The closed-loop body; runResilient, runTiming and runCombined
+     *  return projections of its result. */
+    CombinedAccuracyPoint runClosedLoop(const core::SimContext &ctx,
+                                        const ClosedLoop &loop);
 
     /** Map-order (deterministic) reduction of per-map results. */
-    static AccuracyPoint reduce(const std::vector<MapResult> &results,
+    static AccuracyPoint reduce(std::span<const MapResult> results,
                                 double fail_prob,
                                 sram::EccStats *stats = nullptr);
 

@@ -73,8 +73,10 @@ struct MemoryLayout
 /**
  * Produce a corrupted copy of `src`'s parameters in `dst` (both must
  * be structurally identical; build `dst` with the same zoo function).
- * Biases and non-targeted layers are copied verbatim through their
- * quantized round trip so the only difference is the injected faults.
+ * Biases are copied verbatim and never quantized. With fail_prob > 0
+ * and spec.injectWeights, every weight layer goes through its int16
+ * round trip and only targeted layers get faults. Otherwise `dst` is
+ * a plain float copy of `src`: no int16 round trip at all.
  *
  * @return number of bit flips applied.
  */

@@ -2,44 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <ostream>
 
+#include "common/fnv.hpp"
 #include "common/logging.hpp"
 
 namespace vboost::obs {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void
-hashU64(std::uint64_t &h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xffu;
-        h *= kFnvPrime;
-    }
-}
-
-void
-hashDouble(std::uint64_t &h, double v)
-{
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    hashU64(h, bits);
-}
-
+/** Fold a string's bytes, then its length. */
 void
 hashString(std::uint64_t &h, const std::string &s)
 {
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= kFnvPrime;
-    }
-    hashU64(h, s.size());
+    fnvBytes(h, s);
+    fnvWord(h, s.size());
 }
 
 /** Minimal JSON string escaper (control chars, quote, backslash). */
@@ -215,25 +192,25 @@ Tracer::fingerprint() const
 {
     std::uint64_t h = kFnvOffset;
     for (const auto &[pid, name] : processNames_) {
-        hashU64(h, pid);
+        fnvWord(h, pid);
         hashString(h, name);
     }
     for (const auto &[key, name] : threadNames_) {
-        hashU64(h, key.first);
-        hashU64(h, key.second);
+        fnvWord(h, key.first);
+        fnvWord(h, key.second);
         hashString(h, name);
     }
     for (const TraceEvent &e : events_) {
         hashString(h, e.name);
-        hashU64(h, static_cast<std::uint64_t>(e.phase));
-        hashU64(h, e.pid);
-        hashU64(h, e.tid);
-        hashU64(h, e.ts);
-        hashU64(h, e.dur);
-        hashU64(h, e.open ? 1 : 0);
+        fnvWord(h, static_cast<std::uint64_t>(e.phase));
+        fnvWord(h, e.pid);
+        fnvWord(h, e.tid);
+        fnvWord(h, e.ts);
+        fnvWord(h, e.dur);
+        fnvWord(h, e.open ? 1 : 0);
         for (const auto &[k, v] : e.numArgs) {
             hashString(h, k);
-            hashDouble(h, v);
+            fnvDouble(h, v);
         }
         for (const auto &[k, v] : e.strArgs) {
             hashString(h, k);

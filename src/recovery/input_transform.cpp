@@ -149,11 +149,11 @@ TransformTrainStats::digest() const
 {
     std::uint64_t h = kFnvOffset;
     for (const auto &e : epochs) {
-        h = fnvMixDouble(h, e.meanLoss);
-        h = fnvMixDouble(h, e.trainAccuracy);
+        fnvDouble(h, e.meanLoss);
+        fnvDouble(h, e.trainAccuracy);
     }
-    h = fnvMix(h, batches);
-    h = fnvMix(h, bitFlips);
+    fnvWord(h, batches);
+    fnvWord(h, bitFlips);
     return h;
 }
 

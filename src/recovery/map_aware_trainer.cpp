@@ -30,13 +30,13 @@ MapAwareStats::digest() const
 {
     std::uint64_t h = kFnvOffset;
     for (const auto &e : epochs) {
-        h = fnvMixDouble(h, e.meanLoss);
-        h = fnvMixDouble(h, e.trainAccuracy);
+        fnvDouble(h, e.meanLoss);
+        fnvDouble(h, e.trainAccuracy);
     }
-    h = fnvMix(h, batches);
-    h = fnvMix(h, mapRefreshes);
-    h = fnvMix(h, bitFlips);
-    h = fnvMixDouble(h, finalInjectedProb);
+    fnvWord(h, batches);
+    fnvWord(h, mapRefreshes);
+    fnvWord(h, bitFlips);
+    fnvDouble(h, finalInjectedProb);
     return h;
 }
 

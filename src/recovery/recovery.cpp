@@ -1,7 +1,7 @@
 #include "recovery/recovery.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -27,26 +27,6 @@ toString(RecoveryMode mode)
     return "unknown";
 }
 
-std::uint64_t
-fnvMix(std::uint64_t h, std::uint64_t word)
-{
-    constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-    for (int i = 0; i < 8; ++i) {
-        h ^= (word >> (8 * i)) & 0xffull;
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
-std::uint64_t
-fnvMixDouble(std::uint64_t h, double value)
-{
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(value));
-    std::memcpy(&bits, &value, sizeof(bits));
-    return fnvMix(h, bits);
-}
-
 void
 PlannedRecovery::validate() const
 {
@@ -64,12 +44,9 @@ weightsDigest(dnn::Network &net)
     std::uint64_t h = kFnvOffset;
     for (auto &p : net.params()) {
         const dnn::Tensor &t = *p.value;
-        for (std::size_t e = 0; e < t.numel(); ++e) {
-            std::uint32_t bits = 0;
-            const float f = t[e];
-            std::memcpy(&bits, &f, sizeof(bits));
-            h = fnvMix(h, bits);
-        }
+        // Each float's bits fold as one zero-extended eight-byte word.
+        for (std::size_t e = 0; e < t.numel(); ++e)
+            fnvWord(h, std::bit_cast<std::uint32_t>(t[e]));
     }
     return h;
 }
@@ -123,8 +100,10 @@ ChipEvaluator::ensureScratch(unsigned count)
 double
 ChipEvaluator::baselineAccuracy()
 {
-    // Quantization round trip with no faults: the chip's error-free
-    // ceiling (the iso-accuracy reference of the recovery frontier).
+    // The chip's fault-free reference (the iso-accuracy reference of
+    // the recovery frontier). corruptNetwork at F = 0 stages a float
+    // copy of the weights, so this is the float model's accuracy, not
+    // the int16 ceiling.
     ensureScratch(1);
     auto spec = fi::InjectionSpec::allWeights();
     spec.flipProb = cfg_.flipProb;
@@ -204,8 +183,8 @@ ChipEvaluator::run(double fail_prob, const dnn::Tensor &inputs,
     for (const auto &res : results) {
         acc.add(res.accuracy);
         flips.add(static_cast<double>(res.flips));
-        h = fnvMixDouble(h, res.accuracy);
-        h = fnvMix(h, res.flips);
+        fnvDouble(h, res.accuracy);
+        fnvWord(h, res.flips);
     }
 
     ChipAccuracy out;

@@ -22,6 +22,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/units.hpp"
 #include "dnn/dataset.hpp"
 #include "dnn/network.hpp"
@@ -74,13 +75,15 @@ struct PlannedRecovery
 };
 
 /** FNV-1a offset basis shared by the recovery digests. */
-inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-
-/** FNV-1a fold of one 64-bit word into `h`, byte by byte. */
-std::uint64_t fnvMix(std::uint64_t h, std::uint64_t word);
+using vboost::kFnvOffset;
 
 /** FNV-1a fold of a double's raw bits into `h`. */
-std::uint64_t fnvMixDouble(std::uint64_t h, double value);
+inline std::uint64_t
+fnvMixDouble(std::uint64_t h, double value)
+{
+    fnvDouble(h, value);
+    return h;
+}
 
 /** FNV-1a digest over the raw float bits of every parameter of `net`,
  *  in parameter order — the bitwise identity of a trained model. */
@@ -146,7 +149,8 @@ class ChipEvaluator
     ChipEvaluator(dnn::Network &net, const dnn::Dataset &test_set,
                   sram::VulnerabilityMap map, ChipEvalConfig cfg = {});
 
-    /** Accuracy with fault-free int16 quantization (the ceiling). */
+    /** Fault-free accuracy: the weights as a float copy (what
+     *  corruptNetwork stages at F = 0), not their int16 round trip. */
     double baselineAccuracy();
 
     /** Monte-Carlo accuracy at one bit failure probability, weights

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstring>
 #include <optional>
 #include <unordered_map>
 #include <utility>
 
+#include "common/fnv.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -18,58 +18,34 @@ namespace vboost::serve {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void
-hashU64(std::uint64_t &h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xffu;
-        h *= kFnvPrime;
-    }
-}
-
-void
-hashDouble(std::uint64_t &h, double d)
-{
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &d, sizeof bits);
-    hashU64(h, bits);
-}
-
-void
-hashString(std::uint64_t &h, const std::string &s)
-{
-    hashU64(h, s.size());
-    for (char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= kFnvPrime;
-    }
-}
-
 void
 hashTenant(std::uint64_t &h, const TenantStats &t)
 {
-    hashU64(h, t.requests);
-    hashU64(h, t.admitted);
-    hashU64(h, t.shedQueueFull);
-    hashU64(h, t.shedTenantQuota);
-    hashU64(h, t.batches);
-    hashU64(h, t.inferences);
-    hashU64(h, t.correct);
-    hashU64(h, t.retries);
-    hashU64(h, t.escalations);
-    hashU64(h, t.quarantines);
-    hashU64(h, t.uncorrected);
-    hashDouble(h, t.energyPj);
-    hashU64(h, t.queueWaitTicksSum);
-    hashU64(h, t.latencyTicksSum);
-    hashU64(h, t.maxLatencyTicks);
-    hashU64(h, static_cast<std::uint64_t>(t.finalVddStep));
+    hashTenantTotals(h, t);
+    fnvWord(h, static_cast<std::uint64_t>(t.finalVddStep));
 }
 
 } // namespace
+
+void
+hashTenantTotals(std::uint64_t &h, const TenantStats &t)
+{
+    fnvWord(h, t.requests);
+    fnvWord(h, t.admitted);
+    fnvWord(h, t.shedQueueFull);
+    fnvWord(h, t.shedTenantQuota);
+    fnvWord(h, t.batches);
+    fnvWord(h, t.inferences);
+    fnvWord(h, t.correct);
+    fnvWord(h, t.retries);
+    fnvWord(h, t.escalations);
+    fnvWord(h, t.quarantines);
+    fnvWord(h, t.uncorrected);
+    fnvDouble(h, t.energyPj);
+    fnvWord(h, t.queueWaitTicksSum);
+    fnvWord(h, t.latencyTicksSum);
+    fnvWord(h, t.maxLatencyTicks);
+}
 
 void
 ServerConfig::validate() const
@@ -92,15 +68,16 @@ ServerStats::fingerprint() const
 {
     std::uint64_t h = kFnvOffset;
     hashTenant(h, total);
-    hashU64(h, perTenant.size());
+    fnvWord(h, perTenant.size());
     for (const auto &[name, tenant] : perTenant) {
-        hashString(h, name);
+        fnvWord(h, name.size());
+        fnvBytes(h, name);
         hashTenant(h, tenant);
     }
-    hashDouble(h, meanBatchSize);
-    hashDouble(h, p50LatencyTicks);
-    hashDouble(h, p95LatencyTicks);
-    hashDouble(h, accuracy);
+    fnvDouble(h, meanBatchSize);
+    fnvDouble(h, p50LatencyTicks);
+    fnvDouble(h, p95LatencyTicks);
+    fnvDouble(h, accuracy);
     return h;
 }
 

@@ -157,6 +157,11 @@ struct TenantStats
                            const TenantStats &) = default;
 };
 
+/** FNV-1a fold of every TenantStats field but finalVddStep, in
+ *  declaration order (the per-tenant and per-node part of the serve
+ *  and cluster fingerprints). */
+void hashTenantTotals(std::uint64_t &h, const TenantStats &t);
+
 /** Snapshot of one run's accounting. */
 struct ServerStats
 {

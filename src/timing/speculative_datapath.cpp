@@ -3,25 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/fnv.hpp"
 #include "common/logging.hpp"
 #include "sram/cell_hash.hpp"
 
 namespace vboost::timing {
-
-namespace {
-
-/** FNV-1a fold of one 64-bit value. */
-std::uint64_t
-fnvFold(std::uint64_t h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-} // namespace
 
 void
 TimingStats::merge(const TimingStats &other)
@@ -36,7 +22,7 @@ TimingStats::merge(const TimingStats &other)
     bubbleCycles += other.bubbleCycles;
     logicEnergy += other.logicEnergy;
     replayEnergy += other.replayEnergy;
-    replayDigest = fnvFold(replayDigest, other.replayDigest);
+    fnvWord(replayDigest, other.replayDigest);
 }
 
 SpeculativeDatapath::SpeculativeDatapath(
@@ -188,10 +174,9 @@ SpeculativeDatapath::executeOp(std::uint64_t op)
             return false; // clean commit
         ++stats_.errors;
         stats_.bubbleCycles += bubble_cycles;
-        stats_.replayDigest = fnvFold(
-            fnvFold(fnvFold(stats_.replayDigest, op),
-                    static_cast<std::uint64_t>(issue)),
-            static_cast<std::uint64_t>(stage));
+        fnvWord(stats_.replayDigest, op);
+        fnvWord(stats_.replayDigest, static_cast<std::uint64_t>(issue));
+        fnvWord(stats_.replayDigest, static_cast<std::uint64_t>(stage));
     }
     ++stats_.corrupted;
     return true; // budget exhausted: corrupted result committed

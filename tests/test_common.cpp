@@ -9,10 +9,19 @@
 #include <sstream>
 
 #include "common/fixed_point.hpp"
+#include "common/fnv.hpp"
 #include "common/logging.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
+#include "cluster/cluster.hpp"
+#include "cluster/hash_ring.hpp"
+#include "dnn/layers.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "recovery/recovery.hpp"
+#include "serve/server.hpp"
+#include "timing/speculative_datapath.hpp"
 
 namespace vboost {
 namespace {
@@ -312,6 +321,125 @@ TEST(FixedPoint, SignBitFlipIsLargePerturbation)
     const std::int16_t half = codec.encode(0.5f);
     const float flipped = codec.decode(FixedPointCodec::flipBit(half, 15));
     EXPECT_NEAR(flipped, -0.5f, 0.001f);
+}
+
+// ------------------------------------------------------ FNV-1a digests
+
+/** A tenant record with every field distinct and non-zero. */
+serve::TenantStats
+fixedTenant(std::uint64_t k)
+{
+    serve::TenantStats t;
+    t.requests = 100 + k;
+    t.admitted = 90 + k;
+    t.shedQueueFull = 3 + k;
+    t.shedTenantQuota = 7 + k;
+    t.batches = 12 + k;
+    t.inferences = 88 + k;
+    t.correct = 80 + k;
+    t.retries = 5 + k;
+    t.escalations = 2 + k;
+    t.quarantines = 1 + k;
+    t.uncorrected = 4 + k;
+    t.energyPj = 1234.5 + static_cast<double>(k);
+    t.queueWaitTicksSum = 4567 + k;
+    t.latencyTicksSum = 8901 + k;
+    t.maxLatencyTicks = 321 + k;
+    t.finalVddStep = -2 + static_cast<int>(k);
+    return t;
+}
+
+TEST(FnvDigests, FingerprintsPinnedOnFixedInputs)
+{
+    // Every FNV-1a digest of the code base on fixed inputs: the byte
+    // order each one folds in (size before or after a string, four- or
+    // eight-byte words, the two offset bases) is part of the committed
+    // fingerprints, so none of them may move.
+    serve::ServerStats server;
+    server.total = fixedTenant(0);
+    server.perTenant["alpha"] = fixedTenant(1);
+    server.perTenant["beta-tenant"] = fixedTenant(2);
+    server.meanBatchSize = 7.25;
+    server.p50LatencyTicks = 410.0;
+    server.p95LatencyTicks = 977.5;
+    server.accuracy = 0.9375;
+    EXPECT_EQ(server.fingerprint(), 0x5b2324fa9009d822ull)
+        << std::hex << server.fingerprint();
+
+    cluster::ClusterStats cl;
+    cl.requests = 640;
+    cl.routedPrimary = 600;
+    cl.routedSpill = 25;
+    cl.routedFailover = 15;
+    cl.shedCluster = 9;
+    cl.transitions = 3;
+    cl.total = fixedTenant(3);
+    for (int n = 0; n < 2; ++n) {
+        cluster::NodeStats node;
+        node.primaryRequests = 300u + static_cast<unsigned>(n);
+        node.spillRequests = 10;
+        node.failoverRequests = 5u * static_cast<unsigned>(n);
+        node.epochsServed = 9;
+        node.serve = fixedTenant(4 + static_cast<std::uint64_t>(n));
+        node.lastCompletionTick = 5000u + static_cast<unsigned>(n);
+        node.finalState =
+            n == 0 ? cluster::NodeState::Active
+                   : cluster::NodeState::Draining;
+        node.finalEwma = 0.125 * (n + 1);
+        cl.perNode.push_back(node);
+    }
+    cl.p50LatencyTicks = 300.0;
+    cl.p95LatencyTicks = 1200.5;
+    cl.p95LatencyBySlo = {800.0, 1100.0, 1500.0};
+    cl.accuracyBySlo = {0.97, 0.93, 0.88};
+    cl.accuracy = 0.925;
+    cl.makespanTicks = 6000;
+    EXPECT_EQ(cl.fingerprint(), 0x2f10f6e4b31c8654ull) << std::hex << cl.fingerprint();
+
+    obs::MetricsRegistry reg;
+    reg.counter("fi.trials", {{"kind", "inject"}}).add(7);
+    reg.sum("energy.pj", {{"bank", "3"}}).add(12.5);
+    reg.gauge("level").set(2.0);
+    auto hist = reg.histogram("acc", obs::linearBounds(0.0, 1.0, 5));
+    hist.observe(0.3);
+    hist.observe(0.95);
+    reg.gauge("wallclock").set(99.0);
+    reg.excludeFromFingerprint("wallclock");
+    EXPECT_EQ(reg.fingerprint(), 0xbf8abf1ce6f0757dull) << std::hex << reg.fingerprint();
+
+    obs::Tracer tr;
+    tr.setProcessName(1, "sweep");
+    tr.setThreadName(1, 2, "slot 2");
+    tr.complete(1, 2, "batch", 5, 10, {{"x", 1.5}});
+    tr.instant(1, 2, "marker", 8, {{"y", -0.25}}, {{"why", "ok"}});
+    tr.begin(1, 0, "open", 20);
+    EXPECT_EQ(tr.fingerprint(), 0xf06bace7e7d7a739ull) << std::hex << tr.fingerprint();
+
+    cluster::HashRing ring(cluster::HashRingConfig{8});
+    for (const char *node : {"node-0", "node-1", "node-2"})
+        ring.addNode(node);
+    EXPECT_EQ(ring.fingerprint(), 0xcaa3c6f41b927492ull)
+        << std::hex << ring.fingerprint();
+    EXPECT_EQ(cluster::HashRing::hashKey("tenant-0007"), 0x60fe5e16abc567daull)
+        << std::hex << cluster::HashRing::hashKey("tenant-0007");
+
+    timing::TimingStats a, b;
+    b.replayDigest = 0x0123456789abcdefull;
+    a.merge(b);
+    EXPECT_EQ(a.replayDigest, 0x37eb3f3347761c55ull) << std::hex << a.replayDigest;
+
+    std::uint64_t h = recovery::kFnvOffset;
+    fnvWord(h, 0xfeedfacecafebeefull);
+    h = recovery::fnvMixDouble(h, -3.75);
+    EXPECT_EQ(h, 0x1542d08473b4bccbull) << std::hex << h;
+
+    Rng rng(5);
+    dnn::Network net;
+    net.addLayer<dnn::Dense>(6, 5, rng, "fc1");
+    net.addLayer<dnn::Relu>("r1");
+    net.addLayer<dnn::Dense>(5, 3, rng, "fc2");
+    EXPECT_EQ(recovery::weightsDigest(net), 0xa3adf58760da05b8ull)
+        << std::hex << recovery::weightsDigest(net);
 }
 
 } // namespace
