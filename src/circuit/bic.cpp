@@ -18,6 +18,7 @@ void
 BoostInputControl::setConfig(std::uint32_t bits)
 {
     config_ = bits & mask_;
+    level_ = std::popcount(config_);
 }
 
 void
@@ -27,12 +28,6 @@ BoostInputControl::setLevel(int level)
         fatal("BoostInputControl::setLevel: level ", level, " out of [0,",
               numCells_, "]");
     setConfig(level == 0 ? 0u : ((1u << level) - 1u));
-}
-
-int
-BoostInputControl::enabledLevel() const
-{
-    return std::popcount(config_);
 }
 
 std::vector<bool>

@@ -41,8 +41,9 @@ class BoostInputControl
      */
     void setLevel(int level);
 
-    /** Enabled cell count (popcount of the configuration register). */
-    int enabledLevel() const;
+    /** Enabled cell count (popcount of the configuration register,
+     *  kept by setConfig(): every SRAM access asks for it). */
+    int enabledLevel() const { return level_; }
 
     /** Number of controlled booster cells P. */
     int numCells() const { return numCells_; }
@@ -66,6 +67,7 @@ class BoostInputControl
     int numCells_;
     std::uint32_t mask_;
     std::uint32_t config_ = 0;
+    int level_ = 0;
 };
 
 } // namespace vboost::circuit

@@ -21,6 +21,10 @@ FixedPointCodec::encode(float x) const
         return 32767;
     if (scaled <= -32768.0f)
         return -32768;
+    // Both compares are false for NaN, whose int conversion would be
+    // undefined.
+    if (std::isnan(scaled))
+        return 0;
     return static_cast<std::int16_t>(scaled);
 }
 

@@ -25,7 +25,9 @@ class FixedPointCodec
     /** @param frac_bits fractional bits, in [0, 15]. */
     explicit FixedPointCodec(int frac_bits);
 
-    /** Encode with round-to-nearest and saturation. */
+    /** Encode with round-to-nearest (ties to even, the default
+     *  rounding mode) and saturation to [-32768, 32767]. NaN, which
+     *  has no nearest word, encodes to 0. */
     std::int16_t encode(float x) const;
 
     /** Decode a raw word back to float. */

@@ -3,10 +3,11 @@
  * Swappable compute backends (DESIGN.md §12). A Backend owns the hot
  * kernels of the repro — forward GEMM, the im2col convolution, the
  * training kernels of the backward pass (transposed GEMMs, col2im,
- * ReLU and max-pool forward-with-mask and backward) and the fault-map
- * application / fused corrupt-and-dequantize kernels the
- * fault-injection staging loop runs — so scalar reference code and
- * SIMD implementations can be exchanged freely.
+ * ReLU and max-pool forward-with-mask and backward), the int16
+ * quantization kernels and the fault-map application / fused
+ * corrupt-and-dequantize kernels the fault-injection staging loop
+ * runs — so scalar reference code and SIMD implementations can be
+ * exchanged freely.
  *
  * Contract: every backend is BITWISE-IDENTICAL to the reference
  * backend on finite inputs, at every thread count, including the
@@ -166,6 +167,25 @@ class Backend
      *  (dx == dy) is allowed. */
     virtual void reluBackward(const float *dy, const std::uint8_t *mask,
                               float *dx, std::size_t n) const = 0;
+
+    /**
+     * Largest |x[i]| over the non-NaN elements, +0.0 when there is
+     * none: the fold `m = std::max(m, std::fabs(x[i]))` from m = +0.0
+     * (std::max keeps m when the other operand is NaN). Exact on
+     * every input, so any fold order gives the reference's bits.
+     */
+    virtual float maxAbs(const float *x, std::size_t n) const = 0;
+
+    /** out[i] = codec.encode(x[i]) for i < n (FixedPointCodec: round
+     *  to nearest even, saturate to int16, NaN to 0). Bitwise-equal
+     *  to the codec on every input, infinities and NaN included. */
+    virtual void quantize(const float *x, std::int16_t *out, std::size_t n,
+                          const FixedPointCodec &codec) const = 0;
+
+    /** out[i] = codec.decode(words[i]) for i < n. */
+    virtual void dequantize(const std::int16_t *words, float *out,
+                            std::size_t n,
+                            const FixedPointCodec &codec) const = 0;
 
     /**
      * Corrupt staged 16-bit words through a fault window: bit b of

@@ -70,6 +70,17 @@ void replayZeroSkipChains(const std::vector<std::size_t> &seeds,
                           const float *a, const float *b, float *c, int k,
                           int n);
 
+/**
+ * AVX2 quantization kernels, bitwise-equal to the reference backend's
+ * maxAbs / quantize / dequantize on every input (infinities and NaN
+ * included). Same availability rule as gemmAvx2.
+ */
+void quantizeAvx2(const float *x, std::int16_t *out, std::size_t n,
+                  const FixedPointCodec &codec);
+void dequantizeAvx2(const std::int16_t *words, float *out, std::size_t n,
+                    const FixedPointCodec &codec);
+float maxAbsAvx2(const float *x, std::size_t n);
+
 /** True when this build and this CPU support the AVX-512 GEMM path
  *  (vectorized512.cpp). */
 bool avx512GemmAvailable();

@@ -7,6 +7,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "dnn/backend/impl.hpp"
@@ -296,6 +297,31 @@ class ReferenceBackend final : public Backend
             dx[i] = (mask[i / 8] >> (i % 8)) & 1u ? dy[i] : 0.0f;
     }
 
+    float
+    maxAbs(const float *x, std::size_t n) const override
+    {
+        float m = 0.0f;
+        for (std::size_t i = 0; i < n; ++i)
+            m = std::max(m, std::fabs(x[i]));
+        return m;
+    }
+
+    void
+    quantize(const float *x, std::int16_t *out, std::size_t n,
+             const FixedPointCodec &codec) const override
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = codec.encode(x[i]);
+    }
+
+    void
+    dequantize(const std::int16_t *words, float *out, std::size_t n,
+               const FixedPointCodec &codec) const override
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = codec.decode(words[i]);
+    }
+
     std::uint64_t
     applyFaultMap(std::span<std::int16_t> words,
                   const sram::VulnerabilityMap &map, const FaultWindow &win,
@@ -331,8 +357,7 @@ class ReferenceBackend final : public Backend
     {
         const std::uint64_t flipped =
             applyFaultMap(words, map, win, params, rng);
-        for (std::size_t i = 0; i < words.size(); ++i)
-            out[i] = codec.decode(words[i]);
+        dequantize(words.data(), out, words.size(), codec);
         return flipped;
     }
 

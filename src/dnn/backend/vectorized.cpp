@@ -36,6 +36,13 @@
  *  - Dequantize multiplies by the exact power-of-two resolution
  *    2^-frac instead of dividing by 2^frac: both are exact (no int16
  *    word decodes to a subnormal), hence bitwise-equal.
+ *  - Quantize is the codec's own arithmetic lane-wise: the same
+ *    multiply, ROUNDPS in the current rounding mode (nearbyint),
+ *    clamping to the int16 range and a truncating convert of the
+ *    now-integral value; NaN lanes are zeroed first, as the codec
+ *    encodes NaN. maxAbs folds |x| with MAXPS, which returns its
+ *    second operand (the running max) on NaN like std::max, and max
+ *    is exact, so lane order does not matter.
  *
  * This translation unit is the only dnn code compiled with -mavx2;
  * the registry only exposes the backend after a runtime CPU check.
@@ -45,7 +52,9 @@
 
 #if defined(VBOOST_HAVE_AVX2)
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <immintrin.h>
 
@@ -727,6 +736,77 @@ applyFaultMapPacked(std::span<std::int16_t> words,
     return flipped;
 }
 
+} // namespace
+
+void
+detail::quantizeAvx2(const float *x, std::int16_t *out, std::size_t n,
+                     const FixedPointCodec &codec)
+{
+    const __m256 scale = _mm256_set1_ps(std::ldexp(1.0f, codec.fracBits()));
+    const __m256 lo = _mm256_set1_ps(-32768.0f);
+    const __m256 hi = _mm256_set1_ps(32767.0f);
+    auto lanes = [&](const float *p) {
+        __m256 v = _mm256_round_ps(_mm256_mul_ps(_mm256_loadu_ps(p), scale),
+                                   _MM_FROUND_CUR_DIRECTION |
+                                       _MM_FROUND_NO_EXC);
+        v = _mm256_and_ps(v, _mm256_cmp_ps(v, v, _CMP_ORD_Q)); // NaN -> 0
+        return _mm256_cvttps_epi32(_mm256_min_ps(_mm256_max_ps(v, lo), hi));
+    };
+    std::size_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+        // PACKSSDW packs within 128-bit lanes; the permute restores
+        // element order.
+        const __m256i packed = _mm256_permute4x64_epi64(
+            _mm256_packs_epi32(lanes(x + i), lanes(x + i + 8)), 0xd8);
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + i), packed);
+    }
+    for (; i < n; ++i)
+        out[i] = codec.encode(x[i]);
+}
+
+void
+detail::dequantizeAvx2(const std::int16_t *words, float *out,
+                       std::size_t n, const FixedPointCodec &codec)
+{
+    // decode(raw) = float(raw) / 2^frac = float(raw) * 2^-frac, exact
+    // either way for the int16 range (see file header).
+    const __m256 scale = _mm256_set1_ps(codec.resolution());
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m128i raw =
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(words + i));
+        const __m256 vals = _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(raw));
+        _mm256_storeu_ps(out + i, _mm256_mul_ps(vals, scale));
+    }
+    for (; i < n; ++i)
+        out[i] = codec.decode(words[i]);
+}
+
+float
+detail::maxAbsAvx2(const float *x, std::size_t n)
+{
+    const __m256 magnitude = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
+    __m256 m0 = _mm256_setzero_ps();
+    __m256 m1 = _mm256_setzero_ps();
+    std::size_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+        m0 = _mm256_max_ps(_mm256_and_ps(_mm256_loadu_ps(x + i), magnitude),
+                           m0);
+        m1 = _mm256_max_ps(
+            _mm256_and_ps(_mm256_loadu_ps(x + i + 8), magnitude), m1);
+    }
+    alignas(32) float lane[8];
+    _mm256_store_ps(lane, _mm256_max_ps(m0, m1));
+    float m = 0.0f;
+    for (const float v : lane)
+        m = std::max(m, v);
+    for (; i < n; ++i)
+        m = std::max(m, std::fabs(x[i]));
+    return m;
+}
+
+namespace {
+
 class VectorizedBackend final : public Backend
 {
   public:
@@ -838,6 +918,26 @@ class VectorizedBackend final : public Backend
         reluBackwardAvx2(dy, mask, dx, n);
     }
 
+    float
+    maxAbs(const float *x, std::size_t n) const override
+    {
+        return detail::maxAbsAvx2(x, n);
+    }
+
+    void
+    quantize(const float *x, std::int16_t *out, std::size_t n,
+             const FixedPointCodec &codec) const override
+    {
+        detail::quantizeAvx2(x, out, n, codec);
+    }
+
+    void
+    dequantize(const std::int16_t *words, float *out, std::size_t n,
+               const FixedPointCodec &codec) const override
+    {
+        detail::dequantizeAvx2(words, out, n, codec);
+    }
+
     std::uint64_t
     applyFaultMap(std::span<std::int16_t> words,
                   const sram::VulnerabilityMap &map, const FaultWindow &win,
@@ -855,19 +955,7 @@ class VectorizedBackend final : public Backend
     {
         const std::uint64_t flipped =
             applyFaultMapPacked(words, map, win, params, rng);
-        // decode(raw) = float(raw) / 2^frac = float(raw) * 2^-frac,
-        // exact either way for the int16 range (see file header).
-        const __m256 scale = _mm256_set1_ps(codec.resolution());
-        std::size_t i = 0;
-        for (; i + 8 <= words.size(); i += 8) {
-            const __m128i raw = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(words.data() + i));
-            const __m256 vals =
-                _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(raw));
-            _mm256_storeu_ps(out + i, _mm256_mul_ps(vals, scale));
-        }
-        for (; i < words.size(); ++i)
-            out[i] = codec.decode(words[i]);
+        dequantize(words.data(), out, words.size(), codec);
         return flipped;
     }
 
@@ -961,6 +1049,26 @@ gemmTransBVia(GemmKernel, const float *, const float *, float *, int, int,
               int, bool)
 {
     fatal("gemmTransBVia: called in a build without AVX2 support");
+}
+
+void
+quantizeAvx2(const float *, std::int16_t *, std::size_t,
+             const FixedPointCodec &)
+{
+    fatal("quantizeAvx2: called in a build without AVX2 support");
+}
+
+void
+dequantizeAvx2(const std::int16_t *, float *, std::size_t,
+               const FixedPointCodec &)
+{
+    fatal("dequantizeAvx2: called in a build without AVX2 support");
+}
+
+float
+maxAbsAvx2(const float *, std::size_t)
+{
+    fatal("maxAbsAvx2: called in a build without AVX2 support");
 }
 
 } // namespace vboost::dnn::detail

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hpp"
+#include "dnn/backend/backend.hpp"
 
 namespace vboost::dnn {
 
@@ -36,8 +37,7 @@ quantize(const Tensor &t, const FixedPointCodec &codec)
         fatal("quantize: empty tensor");
     QuantizedTensor q{std::vector<std::int16_t>(t.numel()), codec,
                       t.shape()};
-    for (std::size_t i = 0; i < t.numel(); ++i)
-        q.words[i] = codec.encode(t[i]);
+    activeBackend().quantize(t.data(), q.words.data(), t.numel(), codec);
     return q;
 }
 
@@ -45,8 +45,8 @@ Tensor
 dequantize(const QuantizedTensor &q)
 {
     Tensor t(q.shape);
-    for (std::size_t i = 0; i < q.words.size(); ++i)
-        t[i] = q.codec.decode(q.words[i]);
+    activeBackend().dequantize(q.words.data(), t.data(), q.words.size(),
+                               q.codec);
     return t;
 }
 

@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "common/logging.hpp"
+#include "dnn/backend/backend.hpp"
 
 namespace vboost::dnn {
 
@@ -122,10 +123,7 @@ Tensor::fill(float v)
 float
 Tensor::maxAbs() const
 {
-    float m = 0.0f;
-    for (float v : data_)
-        m = std::max(m, std::fabs(v));
-    return m;
+    return activeBackend().maxAbs(data_.data(), data_.size());
 }
 
 std::string

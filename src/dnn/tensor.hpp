@@ -111,7 +111,8 @@ class Tensor
     /** Set every element to v. */
     void fill(float v);
 
-    /** Largest absolute element (0 for empty tensors). */
+    /** Largest absolute element, NaNs ignored (0 for empty tensors);
+     *  runs on the active backend (Backend::maxAbs). */
     float maxAbs() const;
 
     /** Human-readable shape string like "[64, 784]". */

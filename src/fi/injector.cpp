@@ -1,6 +1,9 @@
 #include "fi/injector.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
+#include <span>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -43,13 +46,17 @@ stageOpenLoop(std::vector<dnn::ParamRef> &src_weights,
     return flipped;
 }
 
+/** 64-bit groups staged per read-back call of the group walk. */
+constexpr std::size_t kChunkGroups = 256;
+
 /**
  * The group staging walk: dst := src, then each weight layer is
  * quantized and staged as 64-bit groups of four int16 words (the tail
- * group zero-padded like a real padded row). read_back(word) returns
- * what the memory hands back for one group, which is unpacked and
- * dequantized into dst. Templated, not std::function: serving stages
- * every weight word through here.
+ * group zero-padded like a real padded row), kChunkGroups at a time.
+ * read_back(groups) replaces a chunk of groups, in staging order, with
+ * what the memory hands back; they are unpacked and dequantized into
+ * dst. Templated, not std::function: serving stages every weight word
+ * through here.
  */
 template <typename ReadBack>
 void
@@ -62,24 +69,31 @@ stageGroups(dnn::Network &dst, dnn::Network &src, const char *who,
     if (src_weights.size() != dst_weights.size())
         fatal(who, ": network structure mismatch");
 
+    std::array<std::uint64_t, kChunkGroups> chunk;
     for (std::size_t l = 0; l < src_weights.size(); ++l) {
         auto q = dnn::quantize(*src_weights[l].value);
-        for (std::size_t g = 0; g < q.words.size(); g += 4) {
-            std::uint64_t word = 0;
-            for (std::size_t k = 0; k < 4 && g + k < q.words.size(); ++k)
-                word |= static_cast<std::uint64_t>(
-                            static_cast<std::uint16_t>(q.words[g + k]))
-                        << (16 * k);
-            const std::uint64_t out = read_back(word);
-            for (std::size_t k = 0; k < 4 && g + k < q.words.size(); ++k)
-                q.words[g + k] = static_cast<std::int16_t>(
-                    static_cast<std::uint16_t>(out >> (16 * k)));
+        const std::size_t n = q.words.size();
+        for (std::size_t first = 0; first < n; first += 4 * kChunkGroups) {
+            const std::size_t len = std::min(4 * kChunkGroups, n - first);
+            const std::size_t groups = (len + 3) / 4;
+            std::fill_n(chunk.begin(), groups, 0);
+            for (std::size_t i = 0; i < len; ++i)
+                chunk[i / 4] |= static_cast<std::uint64_t>(
+                                    static_cast<std::uint16_t>(
+                                        q.words[first + i]))
+                                << (16 * (i % 4));
+            read_back(std::span<std::uint64_t>(chunk.data(), groups));
+            for (std::size_t i = 0; i < len; ++i)
+                q.words[first + i] = static_cast<std::int16_t>(
+                    static_cast<std::uint16_t>(chunk[i / 4] >>
+                                               (16 * (i % 4))));
         }
         *dst_weights[l].value = dnn::dequantize(q);
     }
 }
 
-/** Group walk through `rmem`, optionally indexed. */
+/** Group walk through `rmem`: per word without an index, in spans
+ *  (ResilientMemory::stageSpan) with one. */
 std::uint64_t
 stageResilient(dnn::Network &dst, dnn::Network &src,
                resilience::ResilientMemory &rmem, Volt vdd,
@@ -89,19 +103,26 @@ stageResilient(dnn::Network &dst, dnn::Network &src,
     const std::uint32_t capacity = rmem.memory().words();
     std::uint64_t residual = 0;
     std::uint64_t group_cursor = 0; // 64-bit words staged so far
-    stageGroups(dst, src, "corruptNetworkResilient",
-                [&](std::uint64_t word) {
-                    const auto addr = static_cast<std::uint32_t>(
-                        group_cursor % capacity);
-                    ++group_cursor;
-                    rmem.writeWord(addr, word, vdd);
-                    const resilience::ReadOutcome out =
-                        index ? rmem.readWord(addr, vdd, map, *index)
-                              : rmem.readWord(addr, vdd, map);
-                    residual += static_cast<std::uint64_t>(
-                        std::popcount(word ^ out.data));
-                    return out.data;
-                });
+    auto write_and_read = [&](std::span<std::uint64_t> groups) {
+        if (index) {
+            residual += rmem.stageSpan(
+                static_cast<std::uint32_t>(group_cursor % capacity), groups,
+                vdd, map, *index);
+            group_cursor += groups.size();
+            return;
+        }
+        for (std::uint64_t &word : groups) {
+            const auto addr =
+                static_cast<std::uint32_t>(group_cursor % capacity);
+            ++group_cursor;
+            rmem.writeWord(addr, word, vdd);
+            const std::uint64_t out = rmem.readWord(addr, vdd, map).data;
+            residual +=
+                static_cast<std::uint64_t>(std::popcount(word ^ out));
+            word = out;
+        }
+    };
+    stageGroups(dst, src, "corruptNetworkResilient", write_and_read);
     return residual;
 }
 
@@ -168,28 +189,31 @@ corruptNetworkEcc(dnn::Network &dst, dnn::Network &src,
     std::uint64_t flipped = 0;
     std::uint64_t bit_cursor = 0;   // data-bit cursor (weight region)
     std::uint64_t check_cursor = 0; // check-bit cursor (parity region)
-    stageGroups(dst, src, "corruptNetworkEcc", [&](std::uint64_t word) {
-        // Corrupt the 64 data cells, then the 8 check cells (their own
-        // region); RNG draws interleave per group, in cell order,
-        // exactly as the backend contract specifies.
-        std::uint64_t check = sram::SecdedCodec::encode(word);
-        flipped += backend.applyFaultMapBits(
-            word, 64, map, {0, layout.weightRegionBits, bit_cursor},
-            {fail_prob, flip_prob}, rng);
-        flipped += backend.applyFaultMapBits(
-            check, 8, map,
-            {layout.parityRegionBase(), layout.parityRegionBits(),
-             check_cursor},
-            {fail_prob, flip_prob}, rng);
-        bit_cursor += 64;
-        check_cursor += 8;
+    auto corrupt_and_decode = [&](std::span<std::uint64_t> groups) {
+        for (std::uint64_t &word : groups) {
+            // Corrupt the 64 data cells, then the 8 check cells (their
+            // own region); RNG draws interleave per group, in cell
+            // order, exactly as the backend contract specifies.
+            std::uint64_t check = sram::SecdedCodec::encode(word);
+            flipped += backend.applyFaultMapBits(
+                word, 64, map, {0, layout.weightRegionBits, bit_cursor},
+                {fail_prob, flip_prob}, rng);
+            flipped += backend.applyFaultMapBits(
+                check, 8, map,
+                {layout.parityRegionBase(), layout.parityRegionBits(),
+                 check_cursor},
+                {fail_prob, flip_prob}, rng);
+            bit_cursor += 64;
+            check_cursor += 8;
 
-        const auto decoded = sram::SecdedCodec::decode(
-            word, static_cast<std::uint8_t>(check));
-        if (stats)
-            stats->record(decoded.outcome);
-        return decoded.data;
-    });
+            const auto decoded = sram::SecdedCodec::decode(
+                word, static_cast<std::uint8_t>(check));
+            if (stats)
+                stats->record(decoded.outcome);
+            word = decoded.data;
+        }
+    };
+    stageGroups(dst, src, "corruptNetworkEcc", corrupt_and_decode);
     return flipped;
 }
 

@@ -1,6 +1,7 @@
 #include "resilience/resilient_memory.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hpp"
 
@@ -176,6 +177,84 @@ ResilientMemory::readWord(std::uint32_t addr, Volt vdd,
 {
     index.requireMatch(map, mem_, parityBase_);
     return read(addr, vdd, map, &index);
+}
+
+std::uint64_t
+ResilientMemory::stageSpan(std::uint32_t first,
+                           std::span<std::uint64_t> words, Volt vdd,
+                           const sram::VulnerabilityMap &map,
+                           const sram::CleanWordIndex &index)
+{
+    index.requireMatch(map, mem_, parityBase_);
+    const std::uint32_t capacity = mem_.words();
+    if (first >= capacity)
+        fatal("ResilientMemory::stageSpan: first address ", first,
+              " out of range [0,", capacity, ")");
+    const bool closed = policy_.mode == AccessPolicyMode::ClosedLoop;
+
+    // Whether a bank's clean primary-row words may take the bulk path,
+    // and the index thresholds at its F: looked up on the bank's first
+    // word, and again after any word that may have raised its level
+    // (§8). Thresholds left stale by a raise would only be too strict,
+    // as a raise lowers F; the refresh keeps later words on the bulk
+    // path.
+    struct BankState
+    {
+        bool known = false;
+        /** The BIC sits at the standing level and F < 1. */
+        bool bulk = false;
+        sram::SramBank *bank = nullptr;
+        sram::StratumThresholds thr;
+    };
+    std::vector<BankState> banks(static_cast<std::size_t>(mem_.banks()));
+
+    std::uint64_t residual = 0;
+    std::uint32_t addr = first;
+    for (std::uint64_t &word : words) {
+        const int b = static_cast<int>(addr / sram::SramBank::kWords);
+        BankState &st = banks[static_cast<std::size_t>(b)];
+        if (!st.known) {
+            st.known = true;
+            st.bank = &mem_.bank(b);
+            st.bulk = st.bank->boostLevel() ==
+                      standing_[static_cast<std::size_t>(b)];
+            if (st.bulk) {
+                const double fail = st.bank->failProbAt(vdd);
+                st.bulk = fail < 1.0;
+                if (st.bulk)
+                    st.thr = index.thresholds(fail);
+            }
+        }
+        if (st.bulk && index.clean(addr, st.thr) &&
+            (spares_.used() == 0 || spares_.find(addr) < 0)) {
+            // The word holds no faulty cell and the span wrote it
+            // itself, so the read returns it as written and decoding
+            // it against its fresh check byte would find it clean.
+            const std::uint32_t bank_addr = addr % sram::SramBank::kWords;
+            st.bank->write(bank_addr, word, vdd);
+            st.bank->readClean(bank_addr, vdd);
+            check_[addr] = sram::SecdedCodec::encode(word);
+            ++accessCounter_;
+            ++stats_.reads;
+            ++stats_.cleanReads;
+            if (closed && monitor_.recordAccess(b, false)) {
+                raiseStandingLevel(b, vdd, map);
+                st.known = false;
+            }
+        } else {
+            const std::uint64_t written = word;
+            writeWord(addr, written, vdd);
+            word = read(addr, vdd, map, &index).data;
+            residual += static_cast<std::uint64_t>(
+                std::popcount(written ^ word));
+            // The monitor may have raised the standing level; read()
+            // left the BIC there.
+            st.known = false;
+        }
+        if (++addr == capacity)
+            addr = 0;
+    }
+    return residual;
 }
 
 ReadOutcome

@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "circuit/latency.hpp"
@@ -137,6 +138,23 @@ class ResilientMemory
     ReadOutcome readWord(std::uint32_t addr, Volt vdd,
                          const sram::VulnerabilityMap &map,
                          const sram::CleanWordIndex &index);
+
+    /**
+     * Stage a run of words: write words[i] to address
+     * (first + i) % words() and read it back through the indexed
+     * pipeline, replacing words[i] with what the read returned.
+     * Bitwise identical to writeWord() then readWord(addr, vdd, map,
+     * index) word by word — read-back data, ResilienceStats, bank
+     * counters and energies, monitor state, standing levels, spares
+     * and the per-access streams of later reads (DESIGN.md §8). Fatals
+     * if `index` belongs to another map or memory or `first` is out of
+     * range. @return bits in which the read-back words differ from the
+     * written ones.
+     */
+    std::uint64_t stageSpan(std::uint32_t first,
+                            std::span<std::uint64_t> words, Volt vdd,
+                            const sram::VulnerabilityMap &map,
+                            const sram::CleanWordIndex &index);
 
     /** Build the clean-word index of `map` over `mem`'s data cells and
      *  the check cells a ResilientMemory wrapping `mem` uses. */

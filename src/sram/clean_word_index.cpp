@@ -12,11 +12,11 @@ using detail::cellHash;
 CleanWordIndex::CleanWordIndex(const VulnerabilityMap &map,
                                const BankedMemory &mem,
                                std::uint64_t check_base)
-    : map_(map), cellBase_(mem.cellBase()), checkBase_(check_base),
+    : map_(map), clustered_(map.model() == MapModel::Clustered),
+      cellBase_(mem.cellBase()), checkBase_(check_base),
       words_(mem.words())
 {
-    const bool clustered = map.model() == MapModel::Clustered;
-    const std::size_t per_word = clustered ? 2 : 1;
+    const std::size_t per_word = clustered_ ? 2 : 1;
     minHash_.assign(words_ * per_word, ~0ull);
     const std::uint64_t key = map.streamKey();
     // Every column's defect bit, hashed once; the cursor hashes each
@@ -30,7 +30,7 @@ CleanWordIndex::CleanWordIndex(const VulnerabilityMap &map,
             for (unsigned b = 0; b < n; ++b) {
                 const std::uint64_t h = cellHash(key, first + b);
                 std::uint64_t &m =
-                    clustered && !((defect >> b) & 1u) ? mins[1] : mins[0];
+                    clustered_ && !((defect >> b) & 1u) ? mins[1] : mins[0];
                 m = std::min(m, h);
             }
         };
@@ -43,16 +43,16 @@ bool
 CleanWordIndex::clean(std::uint32_t word, double fail_prob) const
 {
     if (word >= words_)
-        fatal("CleanWordIndex: word ", word, " out of range [0,", words_,
-              ")");
+        outOfRange(word);
     if (fail_prob >= 1.0)
         return false;
-    // isFaulty()'s thresholds: one stratum under Iid, so thr.lo alone.
-    const StratumThresholds thr = map_.stratumThresholds(fail_prob);
-    if (map_.model() != MapModel::Clustered)
-        return minHash_[word] >= thr.lo;
-    const std::uint64_t *mins = &minHash_[2 * static_cast<std::size_t>(word)];
-    return mins[0] >= thr.hi && mins[1] >= thr.lo;
+    return clean(word, thresholds(fail_prob));
+}
+
+void
+CleanWordIndex::outOfRange(std::uint32_t word) const
+{
+    fatal("CleanWordIndex: word ", word, " out of range [0,", words_, ")");
 }
 
 void

@@ -46,14 +46,38 @@ class CleanWordIndex
      */
     bool clean(std::uint32_t word, double fail_prob) const;
 
+    /** The thresholds clean() compares a word's minima against at
+     *  fail_prob, to hoist out of a loop over words (fail_prob < 1). */
+    StratumThresholds thresholds(double fail_prob) const
+    {
+        return map_.stratumThresholds(fail_prob);
+    }
+
+    /** clean() with hoisted thresholds(fail_prob), fail_prob < 1. */
+    bool clean(std::uint32_t word, const StratumThresholds &thr) const
+    {
+        if (word >= words_)
+            outOfRange(word);
+        // isFaulty()'s thresholds: one stratum under Iid, so thr.lo
+        // alone.
+        if (!clustered_)
+            return minHash_[word] >= thr.lo;
+        const std::uint64_t *mins =
+            &minHash_[2 * static_cast<std::size_t>(word)];
+        return mins[0] >= thr.hi && mins[1] >= thr.lo;
+    }
+
     /** Fatals unless this index was built for `map` over `mem` with
      *  the same check-cell base. */
     void requireMatch(const VulnerabilityMap &map, const BankedMemory &mem,
                       std::uint64_t check_base) const;
 
   private:
+    [[noreturn]] void outOfRange(std::uint32_t word) const;
+
     /** The indexed map: its identity and stratum thresholds. */
     VulnerabilityMap map_;
+    bool clustered_;
     std::uint64_t cellBase_;
     std::uint64_t checkBase_;
     std::uint32_t words_;

@@ -91,8 +91,10 @@ SecdedCodec::encode(std::uint64_t data)
     // syndrome, zeroing the full codeword's syndrome. The eighth bit
     // is the even overall parity of the 71-bit codeword.
     const unsigned hamming = hammingBits(data);
+    // popcount(a) + popcount(b) and popcount(a ^ b) agree mod 2; the
+    // latter's parity compiles to inline XORs, not two library calls.
     const unsigned parity = static_cast<unsigned>(
-        (std::popcount(data) + std::popcount(hamming)) & 1);
+        std::popcount(data ^ static_cast<std::uint64_t>(hamming)) & 1);
     return static_cast<std::uint8_t>(hamming | (parity << 7));
 }
 

@@ -7,7 +7,9 @@
  * conv geometries on and off the SIMD fast paths, pooling and relu
  * (inference and training, masks and argmax included) on signed zeros
  * and NaNs, the fault kernels' flip patterns AND their RNG consumption
- * order, packed fault-map bits, whole-network logits and gradients,
+ * order, the int16 quantization kernels against the scalar codec
+ * (ties, saturation, infinities, NaN, denormals), packed fault-map
+ * bits, whole-network logits and gradients,
  * trained-weight digests, and Monte-Carlo experiment digests plus
  * observability fingerprints at 1 vs 8 threads. Kernels with more
  * than one instruction-set tier are also checked tier by tier, so an
@@ -16,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -610,6 +613,137 @@ TEST_F(BackendEquivalence, FusedDequantMatchesReference)
             EXPECT_TRUE(bitsEqual(out0.data(), out1.data(), kWords))
                 << "fail_prob=" << fail;
             EXPECT_EQ(r0.next(), r1.next());
+        }
+    }
+}
+
+// ----------------------------------------------------- quantization
+
+/** Lengths around the 8- and 16-lane widths and their doubles. */
+constexpr std::size_t kQuantLengths[] = {0,  1,  7,  8,  9,  15, 16,
+                                         17, 31, 32, 33, 47, 100};
+
+/** Inputs whose encoding is an edge case at `frac` fractional bits. */
+std::vector<float>
+quantizeEdgeInputs(int frac, Rng &rng)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float step = std::ldexp(1.0f, -frac);
+    std::vector<float> v = {0.0f,
+                            -0.0f,
+                            inf,
+                            -inf,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            1e-40f,
+                            -1e-40f,
+                            std::numeric_limits<float>::max(),
+                            std::numeric_limits<float>::lowest()};
+    // Round-half-even ties (0.5, 1.5, 2.5, ... steps, both signs) and
+    // the saturation edges, just inside, on and just past them.
+    for (float k : {0.5f, 1.5f, 2.5f, 3.5f, 100.5f, 32766.5f, 32767.0f,
+                    32767.4f, 32767.5f, 32768.0f, 32768.5f, 32769.0f,
+                    65536.0f}) {
+        v.push_back(k * step);
+        v.push_back(-k * step);
+    }
+    while (v.size() < 200)
+        v.push_back(static_cast<float>(rng.normal(0.0, 4096.0)) * step);
+    return v;
+}
+
+TEST_F(BackendEquivalence, QuantizeMatchesCodecOnEdgeCases)
+{
+    Rng rng(909);
+    for (int frac = 0; frac <= 15; ++frac) {
+        const FixedPointCodec codec(frac);
+        const std::vector<float> x = quantizeEdgeInputs(frac, rng);
+        std::vector<std::int16_t> expect(x.size());
+        for (std::size_t i = 0; i < x.size(); ++i)
+            expect[i] = codec.encode(x[i]);
+        EXPECT_EQ(codec.encode(std::numeric_limits<float>::quiet_NaN()), 0);
+        for (const Backend *k : {ref_, vec_}) {
+            // Every length, starting at every offset of a lane, so each
+            // edge value lands in the vector body and in the tail.
+            for (const std::size_t n : kQuantLengths) {
+                for (std::size_t at = 0; at + n <= x.size(); at += 13) {
+                    std::vector<std::int16_t> got(n, 0x5a5a);
+                    k->quantize(x.data() + at, got.data(), n, codec);
+                    ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                                           expect.begin() +
+                                               static_cast<std::ptrdiff_t>(at)))
+                        << k->name() << " frac=" << frac << " n=" << n
+                        << " at=" << at;
+                }
+            }
+        }
+    }
+}
+
+TEST_F(BackendEquivalence, DequantizeMatchesCodecOnEveryWord)
+{
+    std::vector<std::int16_t> words(65536);
+    for (std::size_t i = 0; i < words.size(); ++i)
+        words[i] = static_cast<std::int16_t>(static_cast<int>(i) - 32768);
+    for (int frac = 0; frac <= 15; ++frac) {
+        const FixedPointCodec codec(frac);
+        std::vector<float> expect(words.size());
+        for (std::size_t i = 0; i < words.size(); ++i)
+            expect[i] = codec.decode(words[i]);
+        for (const Backend *k : {ref_, vec_}) {
+            std::vector<float> got(words.size());
+            k->dequantize(words.data(), got.data(), words.size(), codec);
+            EXPECT_TRUE(bitsEqual(expect.data(), got.data(), got.size()))
+                << k->name() << " frac=" << frac;
+            for (const std::size_t n : kQuantLengths) {
+                std::vector<float> part(n);
+                k->dequantize(words.data() + 5, part.data(), n, codec);
+                EXPECT_TRUE(bitsEqual(expect.data() + 5, part.data(), n))
+                    << k->name() << " frac=" << frac << " n=" << n;
+            }
+        }
+    }
+}
+
+TEST_F(BackendEquivalence, MaxAbsIgnoresNaNAsTheScalarFoldDoes)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    auto fold = [](const float *x, std::size_t n) {
+        float m = 0.0f;
+        for (std::size_t i = 0; i < n; ++i)
+            m = std::max(m, std::fabs(x[i]));
+        return m;
+    };
+    Rng rng(515);
+    std::vector<std::vector<float>> inputs = {
+        std::vector<float>(40, nan),
+        std::vector<float>(40, -0.0f),
+        std::vector<float>(40, -std::numeric_limits<float>::denorm_min())};
+    for (int pass = 0; pass < 6; ++pass) {
+        std::vector<float> x(100);
+        fillMixed(x, rng);
+        for (std::size_t i = static_cast<std::size_t>(pass); i < x.size();
+             i += 7)
+            x[i] = (i % 3) ? nan : -nan;
+        if (pass == 4)
+            x[57] = -inf;
+        if (pass == 5)
+            x[3] = inf;
+        inputs.push_back(x);
+    }
+    for (const Backend *k : {ref_, vec_}) {
+        for (const std::vector<float> &x : inputs) {
+            for (const std::size_t n : kQuantLengths) {
+                for (std::size_t at = 0; at + n <= x.size(); at += 11) {
+                    const float expect = fold(x.data() + at, n);
+                    const float got = k->maxAbs(x.data() + at, n);
+                    ASSERT_TRUE(bitsEqual(&expect, &got, 1))
+                        << k->name() << " n=" << n << " at=" << at;
+                }
+            }
         }
     }
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/fixed_point.hpp"
@@ -289,6 +290,21 @@ TEST(FixedPoint, SaturatesAtRangeEdges)
     EXPECT_EQ(codec.encode(-100.0f), -32768);
     EXPECT_NEAR(codec.maxValue(), 4.0f, 0.001f);
     EXPECT_NEAR(codec.minValue(), -4.0f, 0.001f);
+}
+
+TEST(FixedPoint, RoundsTiesToEvenAndEncodesNaNAsZero)
+{
+    FixedPointCodec codec(0);
+    EXPECT_EQ(codec.encode(2.5f), 2);
+    EXPECT_EQ(codec.encode(3.5f), 4);
+    EXPECT_EQ(codec.encode(-2.5f), -2);
+    EXPECT_EQ(codec.encode(-0.5f), 0);
+    EXPECT_EQ(codec.encode(32767.5f), 32767);
+    EXPECT_EQ(codec.encode(-32768.5f), -32768);
+    EXPECT_EQ(codec.encode(std::numeric_limits<float>::infinity()), 32767);
+    EXPECT_EQ(codec.encode(-std::numeric_limits<float>::infinity()), -32768);
+    EXPECT_EQ(codec.encode(std::numeric_limits<float>::quiet_NaN()), 0);
+    EXPECT_EQ(codec.encode(-std::numeric_limits<float>::quiet_NaN()), 0);
 }
 
 TEST(FixedPoint, ResolutionMatchesFracBits)

@@ -7,12 +7,18 @@
  * counters — on iid and clustered maps, open and closed loop, with
  * quarantined spare rows, flipProb 0 and 1, and the failProb >= 1
  * fallback. The index itself must agree with a per-cell scan, and
- * refuse a map or memory it was not built for.
+ * refuse a map or memory it was not built for. Staging in spans
+ * (ResilientMemory::stageSpan) must match word-by-word writes and
+ * indexed reads the same way, including the monitor state, the
+ * read-back words and the access counter later reads draw from.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -327,6 +333,248 @@ TEST(ResilientIndex, CorruptNetworkMatchesScalar)
     }
 }
 
+/** A staging run: the same `count` words written and read back from
+ *  address `first` on, `passes` times over. */
+struct SpanRun
+{
+    Scenario sc;
+    std::uint32_t first = 0;
+    std::size_t count = 0;
+    /** When >= 0, every bank's BIC is set to this level before each
+     *  pass, as a caller driving the chip's memory directly may. */
+    int bicLevel = -1;
+};
+
+/** What a staging run leaves behind besides Observed. */
+struct Staged
+{
+    /** Stats, counters and standing levels after staging; outcomes of
+     *  a per-cell probe read of every word afterwards, which sees the
+     *  stored words, check bytes and per-access streams. */
+    Observed observed;
+    std::vector<std::uint64_t> readBack;
+    std::uint64_t residual = 0;
+    std::vector<double> rates;
+};
+
+/** Stage `run` word by word (span_len 0) or in spans of span_len. */
+Staged
+stageRun(const SpanRun &run, std::size_t span_len)
+{
+    const Scenario &sc = run.sc;
+    sram::BankedMemory mem("span_mem", 2, sc.ctx.design, sc.ctx.tech,
+                           sram::FailureRateModel(sc.ctx.failure));
+    mem.setFlipProb(sc.flipProb);
+    ResilientMemory rmem(mem, sc.ctx, sc.policy);
+    rmem.reseed(Rng(77));
+    const sram::CleanWordIndex index =
+        ResilientMemory::cleanWordIndex(sc.map, mem);
+    const std::uint32_t capacity = mem.words();
+
+    Rng data(3);
+    std::vector<std::uint64_t> words(run.count);
+    for (std::uint64_t &w : words)
+        w = data.next();
+    Staged st;
+    for (int pass = 0; pass < sc.passes; ++pass) {
+        if (run.bicLevel >= 0)
+            mem.setAllBoostLevels(run.bicLevel);
+        if (span_len == 0) {
+            for (std::size_t i = 0; i < words.size(); ++i) {
+                const auto addr =
+                    static_cast<std::uint32_t>((run.first + i) % capacity);
+                rmem.writeWord(addr, words[i], sc.vdd);
+                const std::uint64_t out =
+                    rmem.readWord(addr, sc.vdd, sc.map, index).data;
+                st.residual += static_cast<std::uint64_t>(
+                    std::popcount(words[i] ^ out));
+                st.readBack.push_back(out);
+            }
+            continue;
+        }
+        for (std::size_t i = 0; i < words.size(); i += span_len) {
+            std::vector<std::uint64_t> span(
+                words.begin() + static_cast<std::ptrdiff_t>(i),
+                words.begin() + static_cast<std::ptrdiff_t>(
+                                    std::min(i + span_len, words.size())));
+            st.residual += rmem.stageSpan(
+                static_cast<std::uint32_t>((run.first + i) % capacity),
+                span, sc.vdd, sc.map, index);
+            st.readBack.insert(st.readBack.end(), span.begin(), span.end());
+        }
+    }
+    Observed &o = st.observed;
+    o.stats = rmem.snapshot();
+    for (int b = 0; b < mem.banks(); ++b) {
+        o.banks.push_back(mem.bankCounters(b));
+        o.standing.push_back(rmem.standingLevel(b));
+        st.rates.push_back(rmem.monitor().rate(b));
+    }
+    o.totalEnergy = rmem.totalAccessEnergy().value();
+    for (std::uint32_t addr = 0; addr < capacity; ++addr)
+        o.outcomes.push_back(rmem.readWord(addr, sc.vdd, sc.map));
+    return st;
+}
+
+/** Spans of several lengths (one covering the whole run) against the
+ *  word-by-word run; returns the word-by-word run. */
+Staged
+expectSpansMatchWordByWord(const SpanRun &run)
+{
+    const Staged ref = stageRun(run, 0);
+    for (const std::size_t len : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{256}, run.count}) {
+        SCOPED_TRACE(testing::Message() << "span length " << len);
+        const Staged got = stageRun(run, len);
+        expectIdentical(ref.observed, got.observed);
+        EXPECT_EQ(ref.readBack, got.readBack);
+        EXPECT_EQ(ref.residual, got.residual);
+        EXPECT_EQ(ref.rates.size(), got.rates.size());
+        for (std::size_t b = 0; b < ref.rates.size() && b < got.rates.size();
+             ++b)
+            EXPECT_TRUE(sameBits(ref.rates[b], got.rates[b])) << "bank " << b;
+    }
+    return ref;
+}
+
+/** A run of 2.5 laps of the 2-bank memory, starting near its end. */
+SpanRun
+multiLap(const Scenario &sc)
+{
+    return SpanRun{sc, 2000, 5120};
+}
+
+TEST(ResilientSpan, IidAndClusteredClosedLoopMatchWordByWord)
+{
+    for (const bool clustered : {false, true}) {
+        for (const double rate : {1e-4, 1.4e-2}) {
+            Scenario sc;
+            sc.map = clustered ? clusteredMap(5) : sram::VulnerabilityMap(5, 0);
+            sc.vdd = voltageForRate(rate);
+            sc.policy = ResiliencePolicy::closedLoop(3, Escalation::StepUp, 8);
+            const Staged st = expectSpansMatchWordByWord(multiLap(sc));
+            const ResilienceStats &s = st.observed.stats;
+            EXPECT_GT(s.cleanReads, 0u);
+            EXPECT_LT(s.cleanReads, s.reads);
+            if (rate >= 1e-2) {
+                EXPECT_GT(s.retries, 0u);
+            }
+        }
+    }
+}
+
+TEST(ResilientSpan, OpenLoopMatchesWordByWord)
+{
+    for (const int level : {0, 2}) {
+        for (const bool clustered : {false, true}) {
+            Scenario sc;
+            sc.map = clustered ? clusteredMap(7) : sram::VulnerabilityMap(7, 0);
+            sc.policy = ResiliencePolicy::openLoop(level);
+            const Staged st = expectSpansMatchWordByWord(multiLap(sc));
+            EXPECT_EQ(st.observed.stats.retries, 0u);
+            if (level == 0) {
+                EXPECT_LT(st.observed.stats.cleanReads,
+                          st.observed.stats.reads);
+            }
+        }
+    }
+}
+
+TEST(ResilientSpan, StandingRaiseMidSpanTakesEffectAtTheSameWord)
+{
+    // Every first-attempt error raises the bank at once, so the
+    // first faulty words of each bank raise it in the middle of a
+    // span, and the clean words after them must pay the new level.
+    for (const bool clustered : {false, true}) {
+        Scenario sc;
+        sc.map = clustered ? clusteredMap(11) : sram::VulnerabilityMap(11, 0);
+        sc.vdd = voltageForRate(1e-3);
+        sc.policy = ResiliencePolicy::closedLoop(2, Escalation::StepUp, 8);
+        sc.policy.ewmaAlpha = 1.0;
+        sc.policy.raiseThreshold = 0.5;
+        sc.passes = 1;
+        const Staged st = expectSpansMatchWordByWord(SpanRun{sc, 0, 2048});
+        EXPECT_GT(st.observed.stats.standingRaises, 0u);
+        for (const int level : st.observed.standing)
+            EXPECT_GT(level, sc.policy.startLevel);
+    }
+}
+
+TEST(ResilientSpan, BicOffTheStandingLevelMatchesWordByWord)
+{
+    // A bank whose BIC sits off its standing level writes its first
+    // word there and reads it at the standing level, so that word may
+    // not take the bulk path.
+    ResiliencePolicy closed = ResiliencePolicy::closedLoop();
+    closed.startLevel = 2;
+    for (const bool clustered : {false, true}) {
+        Scenario sc;
+        sc.map = clustered ? clusteredMap(17) : sram::VulnerabilityMap(17, 0);
+        for (const auto &[policy, bic] :
+             {std::pair{ResiliencePolicy::openLoop(0), 2},
+              std::pair{closed, 0}}) {
+            sc.policy = policy;
+            SpanRun run = multiLap(sc);
+            run.bicLevel = bic;
+            expectSpansMatchWordByWord(run);
+        }
+    }
+}
+
+TEST(ResilientSpan, QuarantinedSpareRowsMatchWordByWord)
+{
+    Scenario brutal;
+    brutal.map = sram::VulnerabilityMap(23, 0);
+    brutal.vdd = Volt(0.40);
+    brutal.policy = ResiliencePolicy::closedLoop(0, Escalation::Hold, 2);
+    brutal.policy.quarantineThreshold = 1;
+    brutal.passes = 3;
+    const Staged a = expectSpansMatchWordByWord(multiLap(brutal));
+    EXPECT_GT(a.observed.stats.spareReads, 0u);
+    EXPECT_GT(a.observed.stats.spareExhausted, 0u);
+
+    Scenario chronic;
+    chronic.map = clusteredMap(29);
+    chronic.vdd = voltageForRate(1e-3);
+    chronic.policy = ResiliencePolicy::closedLoop(0, Escalation::Hold, 2);
+    chronic.policy.quarantineThreshold = 2;
+    chronic.passes = 4;
+    const Staged b = expectSpansMatchWordByWord(multiLap(chronic));
+    EXPECT_GT(b.observed.stats.quarantines, 0u);
+    EXPECT_GT(b.observed.stats.spareReads, 0u);
+}
+
+TEST(ResilientSpan, FlipProbZeroAndOneMatchWordByWord)
+{
+    for (const double flip : {0.0, 1.0}) {
+        for (const bool clustered : {false, true}) {
+            Scenario sc;
+            sc.map = clustered ? clusteredMap(13) : sram::VulnerabilityMap(13, 0);
+            sc.flipProb = flip;
+            const Staged st = expectSpansMatchWordByWord(multiLap(sc));
+            if (flip == 0.0) {
+                EXPECT_EQ(st.residual, 0u);
+            } else {
+                EXPECT_GT(st.observed.stats.correctedReads, 0u);
+            }
+        }
+    }
+}
+
+TEST(ResilientSpan, FailProbOneMatchesWordByWord)
+{
+    // Every cell reads at F = 1: no word takes the bulk path.
+    Scenario sc;
+    sc.ctx.failure.maxRate = 1.0;
+    sc.vdd = Volt(0.29);
+    sc.passes = 1;
+    for (const bool clustered : {false, true}) {
+        sc.map = clustered ? clusteredMap(3) : sram::VulnerabilityMap(3, 0);
+        const Staged st = expectSpansMatchWordByWord(SpanRun{sc, 100, 600});
+        EXPECT_LT(st.observed.stats.cleanReads, st.observed.stats.reads);
+    }
+}
+
 TEST(ResilientIndex, RejectsForeignMapOrMemory)
 {
     const auto ctx = core::SimContext::standard();
@@ -356,6 +604,17 @@ TEST(ResilientIndex, RejectsForeignMapOrMemory)
                                clustered_index),
                  FatalError);
 
+    // The span call checks the same, and its first address.
+    std::vector<std::uint64_t> span(4, 42);
+    EXPECT_NO_THROW(rmem.stageSpan(0, span, Volt(0.5), map, index));
+    EXPECT_THROW(rmem.stageSpan(0, span, Volt(0.5),
+                                sram::VulnerabilityMap(6, 0), index),
+                 FatalError);
+    EXPECT_THROW(rmem.stageSpan(0, span, Volt(0.5), clusteredMap(5), index),
+                 FatalError);
+    EXPECT_THROW(rmem.stageSpan(mem.words(), span, Volt(0.5), map, index),
+                 FatalError);
+
     // Another memory: shifted cell base, or a different size.
     sram::BankedMemory shifted("shifted", 2, ctx.design, ctx.tech, failure,
                                2 * sram::SramBank::kBits);
@@ -365,6 +624,9 @@ TEST(ResilientIndex, RejectsForeignMapOrMemory)
                                    ResiliencePolicy::closedLoop());
         other_rmem.writeWord(0, 42, Volt(0.5));
         EXPECT_THROW(other_rmem.readWord(0, Volt(0.5), map, index),
+                     FatalError)
+            << other_mem->name();
+        EXPECT_THROW(other_rmem.stageSpan(0, span, Volt(0.5), map, index),
                      FatalError)
             << other_mem->name();
         EXPECT_NO_THROW(other_rmem.readWord(
